@@ -282,6 +282,7 @@ def serve_command(args: argparse.Namespace) -> int:
     import os
     import threading
 
+    from ..nn import blas
     from ..serve.app import build_app_server
     from ..serve.scheduler import run_worker
     from ..serve.shards import write_json_atomic
@@ -297,51 +298,54 @@ def serve_command(args: argparse.Namespace) -> int:
     host, port = server.server_address[:2]
     stop_file = os.path.join(store.root, "stop")
 
-    context = multiprocessing.get_context("fork")
-    workers = []
-    for index in range(args.workers):
-        process = context.Process(
-            target=run_worker, args=(args.root,),
-            kwargs={"owner": f"worker-{index}", "poll": args.poll,
-                    "lease_ttl": args.lease_ttl,
-                    "shard_size": args.shard_size,
-                    "stop_file": stop_file},
-            name=f"serve-worker-{index}")
-        process.start()
-        workers.append(process)
+    # split the BLAS threads among the workers before forking them;
+    # the children inherit the lowered count for the server's life
+    with blas.thread_budget(args.workers):
+        context = multiprocessing.get_context("fork")
+        workers = []
+        for index in range(args.workers):
+            process = context.Process(
+                target=run_worker, args=(args.root,),
+                kwargs={"owner": f"worker-{index}", "poll": args.poll,
+                        "lease_ttl": args.lease_ttl,
+                        "shard_size": args.shard_size,
+                        "stop_file": stop_file},
+                name=f"serve-worker-{index}")
+            process.start()
+            workers.append(process)
 
-    write_json_atomic(os.path.join(store.root, "server.json"), {
-        "url": f"http://{host}:{port}",
-        "host": host, "port": port, "pid": os.getpid(),
-        "workers": [process.pid for process in workers],
-        "stop_file": stop_file,
-    })
-    print(f"repro.serve front door on http://{host}:{port} "
-          f"({args.workers} workers, root {store.root})", file=sys.stderr)
+        write_json_atomic(os.path.join(store.root, "server.json"), {
+            "url": f"http://{host}:{port}",
+            "host": host, "port": port, "pid": os.getpid(),
+            "workers": [process.pid for process in workers],
+            "stop_file": stop_file,
+        })
+        print(f"repro.serve front door on http://{host}:{port} "
+              f"({args.workers} workers, root {store.root})", file=sys.stderr)
 
-    # serve_forever on a thread so the main thread can watch the stop file
-    server_thread = threading.Thread(target=server.serve_forever,
-                                     daemon=True)
-    server_thread.start()
-    try:
-        # keep serving HTTP even if every worker dies: their shards sit
-        # behind expiring leases and a future worker will reclaim them
-        while not os.path.exists(stop_file):
-            time.sleep(0.2)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        with open(stop_file, "w", encoding="utf-8"):
+        # serve_forever on a thread so the main thread can watch the stop file
+        server_thread = threading.Thread(target=server.serve_forever,
+                                         daemon=True)
+        server_thread.start()
+        try:
+            # keep serving HTTP even if every worker dies: their shards sit
+            # behind expiring leases and a future worker will reclaim them
+            while not os.path.exists(stop_file):
+                time.sleep(0.2)
+        except KeyboardInterrupt:
             pass
-        for process in workers:
-            process.join(timeout=30.0)
-        for process in workers:
-            if process.is_alive():
-                process.terminate()
-        server.shutdown()
-        server.server_close()
-        if args.telemetry:
-            telemetry.shutdown()
+        finally:
+            with open(stop_file, "w", encoding="utf-8"):
+                pass
+            for process in workers:
+                process.join(timeout=30.0)
+            for process in workers:
+                if process.is_alive():
+                    process.terminate()
+            server.shutdown()
+            server.server_close()
+            if args.telemetry:
+                telemetry.shutdown()
     return 0
 
 

@@ -39,6 +39,7 @@ from typing import Callable, Iterable
 from .. import telemetry
 from ..analysis.campaign import CampaignStats
 from ..health.outcome import classify_trial_record
+from ..nn import blas
 
 log = logging.getLogger("repro.experiments.runner")
 
@@ -333,14 +334,15 @@ def run_campaign(tasks: Iterable[TrialTask], *, workers: int = 1,
     start = time.monotonic()
     with telemetry.span("campaign", workers=max(1, workers),
                         total=len(tasks), skipped=len(replayed),
-                        batch_trials=max(1, batch_trials)) as campaign:
+                        batch_trials=max(1, batch_trials),
+                        blas_threads=blas.num_threads()) as campaign:
         if batch_trials > 1:
             fresh = _run_batched(todo, journal, batch_trials, retries)
         elif workers <= 1 and trial_timeout is None:
             fresh = _run_inline(todo, journal, retries)
         else:
             fresh = _run_pool(todo, journal, max(1, workers), trial_timeout,
-                              retries)
+                              retries, campaign)
         wall_time = time.monotonic() - start
 
         by_id = dict(replayed)
@@ -556,8 +558,24 @@ class _InFlight:
 
 
 def _run_pool(tasks: list[TrialTask], journal: Journal | None, workers: int,
-              trial_timeout: float | None,
-              retries: int) -> dict[str, TrialRecord]:
+              trial_timeout: float | None, retries: int,
+              campaign) -> dict[str, TrialRecord]:
+    """Fork the trials over *workers* processes, the BLAS threads split
+    among them.
+
+    The thread count is lowered here, in the parent and before any fork,
+    so every child inherits its share of the CPUs and never starts helper
+    threads of its own (:func:`repro.nn.blas.thread_budget`); the count
+    applied is recorded on the *campaign* span.
+    """
+    with blas.thread_budget(workers) as blas_threads:
+        campaign.set(blas_threads=blas_threads)
+        return _fork_trials(tasks, journal, workers, trial_timeout, retries)
+
+
+def _fork_trials(tasks: list[TrialTask], journal: Journal | None,
+                 workers: int, trial_timeout: float | None,
+                 retries: int) -> dict[str, TrialRecord]:
     """Process-per-trial scheduler with timeouts and bounded retry.
 
     One fork per attempt keeps trials fully isolated (a segfault or hang

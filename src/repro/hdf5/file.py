@@ -17,6 +17,9 @@ Supported modes:
 
 from __future__ import annotations
 
+# np.memmap imports mmap on first use; importing it with this module pays
+# that once, before a campaign forks, not in every trial child
+import mmap  # noqa: F401
 import os
 import time
 from typing import Callable, Iterator

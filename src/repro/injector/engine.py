@@ -30,6 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+# numpy 2 imports numpy.ma on the first np.unique; importing it with this
+# module pays that once, before a campaign forks, not in every trial child
+import numpy.ma  # noqa: F401
 
 from .. import telemetry
 from . import bitops

@@ -35,16 +35,28 @@ def pad_nchw(x: np.ndarray, pad: int) -> np.ndarray:
     return padded
 
 
-def im2col(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.ndarray:
+def im2col(x: np.ndarray, kernel: int, stride: int, pad: int,
+           trials: int | None = None) -> np.ndarray:
     """Lower NCHW input patches into a matrix of shape
     ``(N * out_h * out_w, C * kernel * kernel)``.
 
     The column order matches the OIHW weight layout flattened with C-order
     reshape, so a convolution becomes a single GEMM.
+
+    With *trials* given, the batch axis folds that many equal groups of
+    images (the trial-stacked conv) and the result is one matrix per group,
+    ``(trials, N // trials * out_h * out_w, C * kernel * kernel)``,
+    reshaped straight from the patch array.  Each group's matrix then has
+    the memory order this function returns for that group alone: a
+    Fortran-ordered view for a single image, C order otherwise.  The order
+    picks the GEMM variant BLAS runs, and the variants round differently,
+    so a stacked conv must not fold the groups into one matrix first.
     """
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kernel, stride, pad)
     out_w = conv_output_size(w, kernel, stride, pad)
+    rows = ((trials, n // trials * out_h * out_w) if trials
+            else (n * out_h * out_w,))
     if pad > 0:
         x = pad_nchw(x, pad)
     if c == 1:
@@ -56,7 +68,7 @@ def im2col(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.ndarray:
             for kx in range(kernel):
                 x_max = kx + stride * out_w
                 cols[..., ky, kx] = x[:, 0, ky:y_max:stride, kx:x_max:stride]
-        return cols.reshape(n * out_h * out_w, kernel * kernel)
+        return cols.reshape(*rows, kernel * kernel)
     cols = np.empty((n, c, kernel, kernel, out_h, out_w), dtype=x.dtype)
     for ky in range(kernel):
         y_max = ky + stride * out_h
@@ -64,7 +76,7 @@ def im2col(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.ndarray:
             x_max = kx + stride * out_w
             cols[:, :, ky, kx, :, :] = x[:, :, ky:y_max:stride, kx:x_max:stride]
     return cols.transpose(0, 4, 5, 1, 2, 3).reshape(
-        n * out_h * out_w, c * kernel * kernel
+        *rows, c * kernel * kernel
     )
 
 

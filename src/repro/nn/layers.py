@@ -117,8 +117,9 @@ class Conv2D(Layer):
         return out.transpose(0, 3, 1, 2)
 
     def _forward_stacked(self, x):
-        # (T, N, C, H, W): one im2col over the folded T*N batch, then a
-        # batched GEMM against the per-trial weight stack.  Slice t of every
+        # (T, N, C, H, W): one im2col over the folded T*N batch, split
+        # back per trial with the sequential memory order, then a batched
+        # GEMM against the per-trial weight stack.  Slice t of every
         # intermediate is bitwise the sequential forward on replica t.
         t, n, c, h, w = x.shape
         if c != self.in_channels:
@@ -128,8 +129,7 @@ class Conv2D(Layer):
         out_h = F.conv_output_size(h, self.kernel, self.stride, self.pad)
         out_w = F.conv_output_size(w, self.kernel, self.stride, self.pad)
         cols = F.im2col(x.reshape(t * n, c, h, w),
-                        self.kernel, self.stride, self.pad)
-        cols = cols.reshape(t, n * out_h * out_w, -1)
+                        self.kernel, self.stride, self.pad, trials=t)
         weight = self._param("W").reshape(t, self.out_channels, -1)
         out = cols @ weight.transpose(0, 2, 1)
         np.add(out, self._param("b")[:, None, :], out=out)

@@ -13,6 +13,10 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+# numpy 2 imports numpy.random on the first np.random access; importing it
+# with this module pays that once, before a campaign forks, not in every
+# trial child (a warm baseline cache may fork before any draw)
+import numpy.random  # noqa: F401
 
 _state = {"seed": 0, "namespace": ""}
 

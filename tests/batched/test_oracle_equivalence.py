@@ -14,6 +14,7 @@ a NaN/Inf trial mid-batch must be pruned without perturbing the survivors.
 
 from __future__ import annotations
 
+import dataclasses
 import tempfile
 
 import pytest
@@ -38,6 +39,9 @@ from .oracle import (
 )
 
 SMOKE = SCALES["smoke"]
+#: smoke with one image per training step: every conv then lowers a single
+#: image, whose im2col matrix is a Fortran-ordered view, not a C-order copy
+SMOKE_BS1 = dataclasses.replace(SMOKE, name="smoke_bs1", batch_size=1)
 
 PAIRS = (
     ("chainer_like", "alexnet"),
@@ -128,6 +132,14 @@ class TestExplicitOracle:
     def test_batch_of_one_matches_sequential(self, oracle_cache):
         spec = SessionSpec("tf_like", "resnet50", SMOKE)
         assert_oracle(spec, oracle_cache, trials=1)
+
+    def test_training_batch_size_one_bit_identical(self, oracle_cache):
+        """Training at ``batch_size=1``: a stacked conv must hand BLAS each
+        trial's single-image patch matrix in the memory order the
+        sequential conv does, or the GEMMs round differently and every
+        weight drifts from the first step on."""
+        spec = SessionSpec("tf_like", "resnet50", SMOKE_BS1)
+        assert_oracle(spec, oracle_cache, trials=3)
 
 
 @settings(max_examples=5, deadline=None,

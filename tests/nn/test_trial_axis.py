@@ -74,6 +74,19 @@ class TestFunctionalAxes:
             assert losses[t] == loss_t
             assert grads[t].tobytes() == grad_t.tobytes()
 
+    @pytest.mark.parametrize("images", [1, N])
+    def test_im2col_per_trial_keeps_sequential_memory_order(self, images):
+        """The strides pick the GEMM variant BLAS runs, so each trial's
+        matrix must have the strides its own im2col has (for one image a
+        Fortran-ordered view), not those of one folded C-order copy."""
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(TRIALS * images, C, H, W)).astype(np.float32)
+        cols = F.im2col(x, 3, 1, 1, trials=TRIALS)
+        for t in range(TRIALS):
+            alone = F.im2col(x[t * images:(t + 1) * images], 3, 1, 1)
+            assert cols[t].strides == alone.strides
+            assert cols[t].tobytes() == alone.tobytes()
+
 
 def stack_replicas(replicas):
     """Stack per-trial layer replicas onto the first, mirroring
@@ -141,6 +154,11 @@ class TestLayerTrialAxis:
     def test_conv2d_stride_and_pad(self, image):
         assert_layer_stacked_equivalent(
             lambda: Conv2D("conv", C, 8, kernel=3, stride=2, pad=1), image)
+
+    def test_conv2d_single_image(self, image):
+        assert_layer_stacked_equivalent(
+            lambda: Conv2D("conv", C, 8, kernel=3, stride=1, pad=1),
+            image[:1])
 
     def test_maxpool(self, image):
         assert_layer_stacked_equivalent(
