@@ -30,13 +30,14 @@ def run_stacked_training(
     x_test: np.ndarray | None = None,
     labels_test: np.ndarray | None = None,
     probes: list | None = None,
+    trial_ids: list | None = None,
 ) -> tuple[BatchedTrainer, list[TrainingHistory]]:
     """Stack *models*/*optimizers* and train them for *epochs* together.
 
     Returns the trainer (whose :meth:`~repro.nn.BatchedTrainer.trial_arrays`
     yields each trial's final weights, pruned or not) and the per-trial
     histories.  The replica lists are consumed by stacking — treat them as
-    dead after this call.
+    dead after this call.  *trial_ids* stamp each trial's ``epoch`` events.
     """
     if len(models) != len(optimizers):
         raise ValueError(
@@ -45,7 +46,8 @@ def run_stacked_training(
     stacked_model = stack_models(models)
     stacked_optimizer = stack_optimizers(optimizers)
     trainer = BatchedTrainer(stacked_model, stacked_optimizer,
-                             batch_size=batch_size, probes=probes)
+                             batch_size=batch_size, probes=probes,
+                             trial_ids=trial_ids)
     trainer.epoch = start_epoch
     histories = trainer.fit(train_images, train_labels, epochs,
                             x_test=x_test, labels_test=labels_test)

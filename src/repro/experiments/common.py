@@ -412,8 +412,7 @@ class ResumeOutcome:
 def resume_training(spec: SessionSpec, checkpoint_path: str,
                     epochs: int | None = None,
                     keep_model: bool = False,
-                    health_probe=False,
-                    trial_id: str | None = None) -> ResumeOutcome:
+                    health_probe=False) -> ResumeOutcome:
     """Load *checkpoint_path* and continue training deterministically.
 
     Replays exactly the batches an uninterrupted run would see from the
@@ -422,8 +421,8 @@ def resume_training(spec: SessionSpec, checkpoint_path: str,
     :class:`repro.health.ModelHealthProbe`) or a pre-built probe; its
     per-epoch snapshots come back in ``ResumeOutcome.health``.  Probing is
     read-only and RNG-free, so probed and unprobed resumes are
-    bit-identical.  *trial_id* is stamped onto the probe's ``health``
-    events so offline joins can attribute them per trial.
+    bit-identical.  This is the unstacked reference the ``tests/batched``
+    oracle checks :func:`resume_training_batched` against.
     """
     scale = spec.scale
     facade = get_facade(spec.framework)
@@ -436,7 +435,7 @@ def resume_training(spec: SessionSpec, checkpoint_path: str,
     probe = None
     if health_probe:
         probe = (health_probe if health_probe is not True
-                 else ModelHealthProbe(trial_id=trial_id))
+                 else ModelHealthProbe())
         # epoch-0 snapshot: the (corrupted) checkpoint state itself, so the
         # propagation join can see where the flip landed before any update
         probe.observe(model, optimizer, epoch=start_epoch)
@@ -477,9 +476,9 @@ def resume_training_batched(spec: SessionSpec, checkpoint_paths: list[str],
     stored epoch); that is what makes their trials batchable.
 
     *trial_ids* (aligned with *checkpoint_paths*) are stamped onto the
-    per-trial probes' ``health`` events: every probe in the batch emits
-    into one shared process stream, so without the stamp the events are
-    per-trial indistinguishable.
+    per-trial ``epoch`` and probe ``health`` events: every trial in the
+    batch emits into one shared process stream, so without the stamp the
+    events are per-trial indistinguishable.
     """
     if not checkpoint_paths:
         return []
@@ -508,11 +507,10 @@ def resume_training_batched(spec: SessionSpec, checkpoint_paths: list[str],
             f"checkpoints stored at differing epochs: {sorted(set(start_epochs))}"
         )
     start_epoch = start_epochs[0]
+    trial_ids = trial_ids or [None] * len(checkpoint_paths)
     probes = None
     if health_probe:
-        ids = (trial_ids if trial_ids is not None
-               else [None] * len(checkpoint_paths))
-        probes = [ModelHealthProbe(trial_id=tid) for tid in ids]
+        probes = [ModelHealthProbe(trial_id=tid) for tid in trial_ids]
         # epoch-0 snapshot of each corrupted checkpoint, mirroring the
         # sequential path's pre-training observation
         for model, optimizer, probe in zip(models, optimizers, probes):
@@ -522,7 +520,7 @@ def resume_training_batched(spec: SessionSpec, checkpoint_paths: list[str],
     trainer, histories = run_stacked_training(
         models, optimizers, train.images, train.labels, epochs,
         start_epoch=start_epoch, batch_size=scale.batch_size, probes=probes,
-        x_test=test.images, labels_test=test.labels,
+        x_test=test.images, labels_test=test.labels, trial_ids=trial_ids,
     )
     outcomes = []
     for trial, history in enumerate(histories):
@@ -564,6 +562,11 @@ def structural_findings_count(checkpoint_path: str) -> int:
     report = validate_file(checkpoint_path)
     return sum(1 for finding in report.findings
                if finding.severity == "error")
+
+
+#: §V-C: "we omit the most significant bit of the exponent" (MSB-order bit
+#: 1, whose flip collapses training): safe-range injections start at bit 2.
+SAFE_FIRST_BIT = 2
 
 
 def weights_root(framework: str) -> str:

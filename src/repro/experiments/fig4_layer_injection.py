@@ -23,6 +23,7 @@ from ..models import INJECTION_LAYERS
 from ..frameworks import get_facade
 from .common import (
     DEFAULT_CACHE,
+    SAFE_FIRST_BIT,
     ExperimentResult,
     SessionSpec,
     build_session_model,
@@ -30,7 +31,6 @@ from .common import (
     get_scale,
     resume_training,
 )
-from .table5_single_bitflip import SAFE_FIRST_BIT
 
 EXPERIMENT_ID = "fig4"
 TITLE = "Fig 4: 1000 bit-flips injected into specific AlexNet layers"

@@ -27,6 +27,7 @@ from ..injector import (
 from ..models import INJECTION_LAYERS
 from .common import (
     DEFAULT_CACHE,
+    SAFE_FIRST_BIT,
     ExperimentResult,
     SessionSpec,
     build_session_model,
@@ -34,7 +35,6 @@ from .common import (
     get_scale,
     resume_training,
 )
-from .table5_single_bitflip import SAFE_FIRST_BIT
 
 EXPERIMENT_ID = "fig5"
 TITLE = "Fig 5: Equivalent injection in torch_like and tf_like"

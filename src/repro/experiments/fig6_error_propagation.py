@@ -18,6 +18,7 @@ from ..injector import CheckpointCorrupter, InjectorConfig
 from ..models import INJECTION_LAYERS
 from .common import (
     DEFAULT_CACHE,
+    SAFE_FIRST_BIT,
     ExperimentResult,
     SessionSpec,
     build_session_model,
@@ -25,7 +26,6 @@ from .common import (
     get_scale,
     resume_training,
 )
-from .table5_single_bitflip import SAFE_FIRST_BIT
 
 EXPERIMENT_ID = "fig6"
 TITLE = "Fig 6: Propagation of errors (weight diffs at epoch ckpt+resume)"

@@ -683,30 +683,8 @@ def _fork_trials(tasks: list[TrialTask], journal: Journal | None,
                 flight.process.join()
                 flight.conn.close()
                 if status == "ok":
-                    rec = TrialRecord(
-                        trial_id=flight.task.trial_id, kind=flight.task.kind,
-                        status="ok", outcome=value, attempts=flight.attempt,
-                        timed_out=flight.timeouts > 0,
-                        duration=now - flight.first_started,
-                        worker=flight.slot, payload=flight.task.payload,
-                    )
-                    rec.finalize()
-                    telemetry.count("runner.trials_ok")
-                    telemetry.count(f"runner.outcome_{rec.outcome_class}")
-                    flight.span.set(
-                        status="ok", attempts=flight.attempt,
-                        worker=flight.slot, timed_out=flight.timeouts > 0,
-                        queue_wait=flight.first_started - pool_start,
-                        run_time=flight.run_time + (now - flight.started),
-                        outcome=rec.outcome_class,
-                    )
-                    flight.span.finish("ok")
-                    log.debug("trial %s: ok after %d attempt(s) in %.3fs "
-                              "(worker %d)", rec.trial_id, rec.attempts,
-                              rec.duration, flight.slot)
-                    results[flight.task.trial_id] = rec
-                    if journal is not None:
-                        journal.append(rec)
+                    finish(flight, "ok", value, None, flight.timeouts > 0,
+                           now)
                 else:
                     retry_or_fail(flight, value, timed_out=False, now=now)
                 done = True

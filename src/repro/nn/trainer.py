@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -47,6 +47,11 @@ class TrainingHistory:
     def final_accuracy(self, split: str = "test") -> float | None:
         values = [v for v in self.accuracies(split) if v is not None]
         return values[-1] if values else None
+
+
+def _epoch_event(metrics: EpochMetrics, duration: float) -> None:
+    """One trial's ``epoch`` telemetry event: its metrics and wall time."""
+    telemetry.event("epoch", **asdict(metrics), duration=duration)
 
 
 class Trainer:
@@ -143,15 +148,7 @@ class Trainer:
                     if not np.isfinite(test_loss):
                         metrics.collapsed = True
                 self.history.append(metrics)
-                telemetry.event(
-                    "epoch", epoch=metrics.epoch,
-                    train_loss=metrics.train_loss,
-                    train_accuracy=metrics.train_accuracy,
-                    test_loss=metrics.test_loss,
-                    test_accuracy=metrics.test_accuracy,
-                    collapsed=metrics.collapsed,
-                    duration=time.perf_counter() - epoch_start,
-                )
+                _epoch_event(metrics, time.perf_counter() - epoch_start)
                 if self.health_probe is not None:
                     # read-only, RNG-free: probed runs stay bit-identical
                     self.health_probe.observe(self.model, self.optimizer,
@@ -226,13 +223,17 @@ class BatchedTrainer:
     sequentially probed runs.  Schedulers and augmenters are not supported —
     campaign resume paths use neither; callers needing them fall back to the
     sequential :class:`Trainer`.
+
+    Telemetry keeps :class:`Trainer`'s shape: each live trial emits its
+    ``epoch`` events (tagged with its ``trial_ids`` entry), and the ``train``
+    span's ``final_accuracy``/``collapsed`` hold one value per trial (a
+    bare value when there is one trial).
     """
 
     def __init__(self, model: Model, optimizer: Optimizer,
                  batch_size: int = 32,
                  probes: list | None = None,
-                 epoch_callback: Callable[[int, "BatchedTrainer"],
-                                          None] | None = None):
+                 trial_ids: list | None = None):
         trials = None
         for layer in model.layers():
             if layer.trials is not None:
@@ -251,8 +252,8 @@ class BatchedTrainer:
         self.optimizer = optimizer
         self.batch_size = batch_size
         self.probes = probes
-        self.epoch_callback = epoch_callback
         self.trials = trials
+        self.trial_ids = trial_ids or [None] * trials
         self.histories = [TrainingHistory() for _ in range(trials)]
         #: original trial index occupying each live stack position
         self.active = list(range(trials))
@@ -330,14 +331,11 @@ class BatchedTrainer:
                         m.test_accuracy = float(test_accs[pos])
                         if not np.isfinite(m.test_loss):
                             m.collapsed = True
-                for pos, m in enumerate(metrics):
-                    self.histories[self.active[pos]].append(m)
-                telemetry.event(
-                    "epoch", epoch=self.epoch,
-                    active_trials=len(self.active),
-                    collapsed_trials=sum(m.collapsed for m in metrics),
-                    duration=time.perf_counter() - epoch_start,
-                )
+                duration = time.perf_counter() - epoch_start
+                for trial, m in zip(self.active, metrics):
+                    self.histories[trial].append(m)
+                    with telemetry.tag_scope(trial_id=self.trial_ids[trial]):
+                        _epoch_event(m, duration)
                 if self.probes is not None:
                     for pos, trial in enumerate(self.active):
                         self.probes[trial].observe(
@@ -345,16 +343,17 @@ class BatchedTrainer:
                             _TrialOptimizerView(self.optimizer, pos),
                             self.epoch,
                         )
-                if self.epoch_callback is not None:
-                    self.epoch_callback(self.epoch, self)
                 keep = np.array([not m.collapsed for m in metrics],
                                 dtype=bool)
                 if not keep.all():
                     self._prune(keep)
+            finals = [h.final_accuracy() for h in self.histories]
+            collapsed = [h.collapsed for h in self.histories]
+            single = self.trials == 1
             span.set(
-                epochs_run=max((len(h.epochs) for h in self.histories),
-                               default=0),
-                collapsed_trials=sum(h.collapsed for h in self.histories),
+                epochs_run=max(len(h.epochs) for h in self.histories),
+                final_accuracy=finals[0] if single else finals,
+                collapsed=collapsed[0] if single else collapsed,
             )
         return self.histories
 

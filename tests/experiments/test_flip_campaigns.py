@@ -1,0 +1,173 @@
+"""The flip campaigns (fig3, table5, table6) and their one trial body.
+
+Every flip kind runs :func:`~repro.experiments.fig3_bitflip_rates.
+run_flip_trials`; a sequential trial is a chunk of one.  These tests pin
+the contract around it: tables render a cell no trial finished as NaN,
+a stacked trial emits the per-trial telemetry the unstacked ``Trainer``
+emits, and the whole-program fork analysis finds every trial body.
+"""
+
+from __future__ import annotations
+
+import math
+import pathlib
+
+import pytest
+
+from repro import telemetry
+from repro.experiments import fig3_bitflip_rates as fig3
+from repro.experiments import run_experiment
+from repro.experiments.common import (
+    BaselineCache,
+    SessionSpec,
+    get_scale,
+    resume_training,
+)
+from repro.experiments.runner import run_campaign
+from repro.lint import analyze_paths
+from repro.serve import CampaignSpec
+
+SMOKE = get_scale("smoke")
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
+TWO_FRAMEWORKS = ["chainer_like", "torch_like"]
+
+
+@pytest.fixture(scope="module")
+def cache(tmp_path_factory):
+    return BaselineCache(str(tmp_path_factory.mktemp("flip-cache")))
+
+
+def isnan(value) -> bool:
+    return isinstance(value, float) and math.isnan(value)
+
+
+class TestCellsWithoutOkTrials:
+    """A cell whose trials all failed, or that ``max_trials`` cut from the
+    plan, renders NaN; percentages divide by the trials a cell actually
+    aggregated."""
+
+    def test_fig3_all_trials_timed_out(self, cache):
+        result = fig3.run(scale="smoke", pairs=[("chainer_like", "alexnet")],
+                          bitflips=[1], trial_timeout=0.001, retries=0,
+                          cache=cache)
+        assert result.extra["campaign"]["ok"] == 0, \
+            "a trial beat the 1 ms timeout; this case no longer fails cells"
+        by_series = {row[1]: row[2] for row in result.rows}
+        assert not isnan(by_series["baseline"])
+        assert isnan(by_series["1 flips"])
+
+    def test_fig3_max_trials(self, cache):
+        spec = CampaignSpec(kind="fig3", scale="smoke",
+                            params={"pairs": [["chainer_like", "alexnet"]],
+                                    "bitflips": [1, 10]}, max_trials=1)
+        result = run_experiment("fig3", spec=spec, cache=cache)
+        by_series = {row[1]: row[2] for row in result.rows}
+        assert not isnan(by_series["1 flips"])
+        assert isnan(by_series["10 flips"])
+
+    def test_table5_max_trials(self, cache):
+        spec = CampaignSpec(kind="table5", scale="smoke",
+                            params={"frameworks": TWO_FRAMEWORKS,
+                                    "models": ["alexnet"]}, max_trials=1)
+        result = run_experiment("table5", spec=spec, cache=cache)
+        [row] = result.rows
+        model, trainings, rwc, pct, torch_rwc, torch_pct = row
+        assert (model, trainings) == ("alexnet", 1)
+        assert rwc in (0, 1) and pct == 100.0 * rwc
+        assert isnan(torch_rwc) and isnan(torch_pct)
+
+    def test_table6_max_trials(self, cache):
+        spec = CampaignSpec(kind="table6", scale="smoke",
+                            params={"frameworks": TWO_FRAMEWORKS,
+                                    "model": "alexnet",
+                                    "masks": [[3, "10001010"]]},
+                            max_trials=1)
+        result = run_experiment("table6", spec=spec, cache=cache)
+        bits, mask, avg, nev, torch_avg, torch_nev = result.rows[1]
+        assert (bits, mask) == (3, "10001010")
+        assert nev in (0, 1) and (isnan(avg) == bool(nev))
+        assert isnan(torch_avg) and isnan(torch_nev)
+
+
+def test_spec_of_another_kind_is_rejected(cache):
+    with pytest.raises(ValueError, match="cannot run as 'fig3'"):
+        fig3.run(spec=CampaignSpec(kind="table5", scale="smoke"),
+                 cache=cache)
+
+
+def _recorded(tmp_path, name: str, work) -> list[dict]:
+    log = str(tmp_path / f"{name}.jsonl")
+    telemetry.configure(jsonl=log)
+    try:
+        work()
+    finally:
+        telemetry.shutdown()
+    return telemetry.load_events(log)
+
+
+def _spans(events, name):
+    return [e for e in events if e.get("type") == "span"
+            and e.get("name") == name]
+
+
+def _epochs(events):
+    return [e for e in events if e.get("type") == "event"
+            and e.get("name") == "epoch"]
+
+
+def test_inline_trial_emits_resume_training_telemetry(cache, tmp_path):
+    """A sequential flip trial is a stacked chunk of one, yet its ``train``
+    span and ``epoch`` events carry every attribute the unstacked
+    ``resume_training`` emits — the telemetry report's final-acc and
+    collapsed columns and the watch console's accuracy read them."""
+    spec = SessionSpec("chainer_like", "alexnet", SMOKE)
+    baseline = cache.get(spec)
+    reference = _recorded(tmp_path, "reference", lambda: resume_training(
+        spec, baseline.checkpoint_path, epochs=SMOKE.resume_epochs))
+    tasks, _ = fig3.build_tasks(SMOKE, 42, [("chainer_like", "alexnet")],
+                                (1,), 1, cache)
+    events = _recorded(tmp_path, "trial", lambda: run_campaign(tasks))
+
+    [trial] = _spans(events, "trial")
+    [train] = _spans(events, "train")
+    assert train["parent_id"] == trial["span_id"]
+    [ref_train] = _spans(reference, "train")
+    assert set(ref_train["attrs"]) <= set(train["attrs"])
+    epochs = _epochs(events)
+    ref_epochs = _epochs(reference)
+    assert len(epochs) == len(ref_epochs) == SMOKE.resume_epochs
+    for event, ref in zip(epochs, ref_epochs):
+        assert set(ref["attrs"]) <= set(event["attrs"])
+        assert event["attrs"]["trial_id"] == tasks[0].trial_id
+
+    [summary] = telemetry.CampaignTelemetry(events).trials()
+    assert isinstance(summary.final_accuracy, float)
+    assert isinstance(summary.collapsed, bool)
+
+
+def test_stacked_chunk_emits_one_epoch_event_per_trial(cache, tmp_path):
+    tasks, _ = fig3.build_tasks(SMOKE, 42, [("chainer_like", "alexnet")],
+                                (1,), 3, cache)
+    events = _recorded(tmp_path, "chunk",
+                       lambda: run_campaign(tasks, batch_trials=3))
+    [train] = _spans(events, "train")
+    assert len(train["attrs"]["final_accuracy"]) == 3
+    assert train["attrs"]["collapsed"] == [False] * 3
+    stamped = [e["attrs"]["trial_id"] for e in _epochs(events)]
+    assert sorted(stamped) == sorted(
+        task.trial_id for task in tasks for _ in range(SMOKE.resume_epochs))
+
+
+def test_every_flip_kind_keeps_decorated_fork_entries():
+    """``fork-reach`` finds trial bodies only through the ``@trial_kind`` /
+    ``@batch_trial_kind`` decorators, so each flip kind must keep both —
+    and the shared body must stay reachable from them."""
+    graph = analyze_paths([str(SRC)]).graph
+    entries = graph.fork_entries()
+    for module in ("fig3_bitflip_rates", "table5_single_bitflip",
+                   "table6_multibit_masks"):
+        for entry in ("run_trial", "run_trial_batch"):
+            assert f"repro.experiments.{module}.{entry}" in entries
+    reached = graph.reachable_from(entries)
+    assert "repro.experiments.fig3_bitflip_rates.run_flip_trials" in reached
+    assert "repro.experiments.common.resume_training_batched" in reached
