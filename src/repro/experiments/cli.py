@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--batch-trials", type=int, default=1, metavar="N",
                           help="train up to N same-spec trials together in "
                                "one stacked pass (bit-identical per trial; "
-                               "requires --workers 1 and no --trial-timeout)")
+                               "incompatible with --trial-timeout)")
     campaign.add_argument("--journal", default=None, metavar="PATH",
                           help="append every trial to this JSONL journal "
                                "(suffixed per experiment when running "
@@ -415,25 +415,29 @@ def main(argv: list[str] | None = None) -> int:
     if args.resume and args.journal is None:
         print("--resume requires --journal", file=sys.stderr)
         return 2
-    if args.batch_trials > 1 and args.workers > 1:
-        print("--batch-trials requires --workers 1 (batched trials share "
-              "one in-process training pass)", file=sys.stderr)
+    if args.workers < 1:
+        print("--workers must be at least 1", file=sys.stderr)
         return 2
     if args.batch_trials > 1 and args.trial_timeout is not None:
         print("--batch-trials is incompatible with --trial-timeout "
               "(timeouts need process-per-trial isolation)", file=sys.stderr)
         return 2
+    # every spec is built, and so validated, before any experiment starts
+    try:
+        engine_kwargs = [campaign_kwargs(args, experiment_id,
+                                         multiple=len(ids) > 1)
+                         for experiment_id in ids]
+    except ValueError as exc:
+        print(f"bad spec: {exc}", file=sys.stderr)
+        return 2
     if args.telemetry:
         telemetry.configure(jsonl=args.telemetry)
         log.info("recording telemetry to %s", args.telemetry)
     try:
-        for experiment_id in ids:
+        for experiment_id, kwargs in zip(ids, engine_kwargs):
             start = time.time()
-            result = run_experiment(
-                experiment_id, scale=args.scale, seed=args.seed,
-                **campaign_kwargs(args, experiment_id,
-                                  multiple=len(ids) > 1),
-            )
+            result = run_experiment(experiment_id, scale=args.scale,
+                                    seed=args.seed, **kwargs)
             elapsed = time.time() - start
             if args.json:
                 print(result.to_json())

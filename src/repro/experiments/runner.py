@@ -4,9 +4,12 @@ The paper's protocol is embarrassingly parallel — every experiment cell is
 N independent inject-and-resume trainings (§V-A: 250 per cell).  This module
 turns a harness's trial list into a *campaign*:
 
-* trials fan out over a ``multiprocessing`` worker pool (``workers=1`` keeps
-  the original in-process sequential path, bit-identical to the parallel one
-  because every trial is a pure function of its payload);
+* the plan is cut once into *chunks* — a chunk of one per trial, or under
+  ``batch_trials > 1`` up to that many same-group trials sharing one
+  training pass (:mod:`repro.batched`) — and one scheduling policy runs
+  them all, in process (``workers=1``, no timeout) or one fork per chunk
+  attempt over a pool of ``workers``; results are bit-identical either
+  way because every trial is a pure function of its payload;
 * every terminal outcome is appended to a JSONL *journal* — an append-only
   record of (trial id, kind, payload, outcome, status, attempts, duration,
   worker) that survives ``kill -9`` mid-campaign;
@@ -20,9 +23,8 @@ Harnesses register *trial kinds* — top-level functions from JSON payload to
 JSON outcome — with :func:`trial_kind`; worker processes look the function
 up by name, so tasks stay picklable and journal records stay replayable.
 A kind may additionally register a *batched* executor with
-:func:`batch_trial_kind`: under ``batch_trials > 1`` the runner chunks
-same-group trials and amortizes their shared training pass
-(:mod:`repro.batched`), still journaling one ordinary record per trial.
+:func:`batch_trial_kind`, which runs its batched chunks, still journaling
+one ordinary record per trial.
 """
 
 from __future__ import annotations
@@ -279,9 +281,10 @@ def run_campaign(tasks: Iterable[TrialTask], *, workers: int = 1,
     Parameters
     ----------
     workers:
-        ``1`` runs trials sequentially in-process (unless a timeout is set,
-        which needs subprocess isolation); ``>1`` fans out over a fork-based
-        worker pool.
+        ``1`` runs chunks one after another in-process (unless a timeout is
+        set, which needs subprocess isolation); ``>1`` forks one process
+        per chunk attempt, that many at a time, the BLAS threads split
+        among them.
     journal:
         JSONL path (or :class:`Journal`).  When given, every terminal record
         is appended as it happens.
@@ -296,21 +299,16 @@ def run_campaign(tasks: Iterable[TrialTask], *, workers: int = 1,
     batch_trials:
         ``> 1`` runs chunks of that many batchable trials (same kind, same
         :func:`batch_trial_kind` group key) through the kind's batched
-        executor in-process, one journal record per trial as usual.
-        Incompatible with ``workers > 1`` and ``trial_timeout`` — the
-        batched path is in-process by design (the whole point is sharing
-        one training pass, which a process-per-trial pool cannot do).
+        executor, in process or forked, one journal record per trial as
+        usual.  Incompatible with ``trial_timeout``: a deadline covers one
+        trial, not a chunk.
     """
     tasks = list(tasks)
-    if batch_trials > 1:
-        if workers > 1:
-            raise ValueError(
-                "batch_trials > 1 requires workers=1 (batched trials share "
-                "one in-process training pass)")
-        if trial_timeout is not None:
-            raise ValueError(
-                "batch_trials > 1 is incompatible with trial_timeout "
-                "(timeouts need process-per-trial isolation)")
+    workers = max(1, workers)
+    if batch_trials > 1 and trial_timeout is not None:
+        raise ValueError(
+            "batch_trials > 1 is incompatible with trial_timeout "
+            "(timeouts need process-per-trial isolation)")
     seen: set[str] = set()
     for task in tasks:
         if task.trial_id in seen:
@@ -330,27 +328,31 @@ def run_campaign(tasks: Iterable[TrialTask], *, workers: int = 1,
 
     todo = [t for t in tasks if t.trial_id not in replayed]
     log.debug("campaign: %d tasks (%d to run, %d replayed), workers=%d",
-              len(tasks), len(todo), len(replayed), max(1, workers))
+              len(tasks), len(todo), len(replayed), workers)
     start = time.monotonic()
-    with telemetry.span("campaign", workers=max(1, workers),
+    policy = _Policy(_cut(todo, batch_trials), journal, retries, start)
+    with telemetry.span("campaign", workers=workers,
                         total=len(tasks), skipped=len(replayed),
                         batch_trials=max(1, batch_trials),
                         blas_threads=blas.num_threads()) as campaign:
-        if batch_trials > 1:
-            fresh = _run_batched(todo, journal, batch_trials, retries)
-        elif workers <= 1 and trial_timeout is None:
-            fresh = _run_inline(todo, journal, retries)
+        if workers == 1 and trial_timeout is None:
+            _run_in_process(policy)
         else:
-            fresh = _run_pool(todo, journal, max(1, workers), trial_timeout,
-                              retries, campaign)
+            # the BLAS thread count is lowered in the parent, before any
+            # fork, so every child inherits its share of the CPUs and
+            # never starts helper threads of its own
+            with blas.thread_budget(workers) as blas_threads:
+                campaign.set(blas_threads=blas_threads)
+                _run_forked(policy, workers, trial_timeout)
         wall_time = time.monotonic() - start
 
+        fresh = policy.records
         by_id = dict(replayed)
         by_id.update(fresh)
         records = [by_id[t.trial_id] for t in tasks]
         stats = CampaignStats.from_records(
             [asdict(r) for r in records],
-            wall_time=wall_time, workers=max(1, workers),
+            wall_time=wall_time, workers=workers,
             executed=len(fresh), skipped=len(tasks) - len(todo),
         )
         campaign.set(executed=stats.executed, ok=stats.ok,
@@ -360,7 +362,7 @@ def run_campaign(tasks: Iterable[TrialTask], *, workers: int = 1,
     return CampaignResult(records=records, stats=stats)
 
 
-# -- sequential path --------------------------------------------------------
+# -- chunks -----------------------------------------------------------------
 
 def _dispatch_payload(task: TrialTask) -> dict:
     """The payload copy handed to a trial function.
@@ -374,152 +376,189 @@ def _dispatch_payload(task: TrialTask) -> dict:
     return {**task.payload, "trial_id": task.trial_id}
 
 
-def _run_inline(tasks: list[TrialTask], journal: Journal | None,
-                retries: int) -> dict[str, TrialRecord]:
-    results: dict[str, TrialRecord] = {}
-    for task in tasks:
-        func = get_trial_kind(task.kind)
-        record = None
-        started = time.monotonic()
-        with telemetry.span("trial", trial_id=task.trial_id,
-                            kind=task.kind) as span:
-            for attempt in range(1, retries + 2):
-                if attempt > 1:
-                    telemetry.count("runner.retries")
-                try:
-                    outcome = func(_dispatch_payload(task))
-                except Exception:
-                    record = TrialRecord(
-                        trial_id=task.trial_id, kind=task.kind,
-                        status="failed",
-                        error=traceback.format_exc(limit=8), attempts=attempt,
-                        payload=task.payload,
-                    )
-                    continue
-                record = TrialRecord(
-                    trial_id=task.trial_id, kind=task.kind, status="ok",
-                    outcome=outcome, attempts=attempt, payload=task.payload,
-                )
-                break
-            record.duration = time.monotonic() - started
-            record.finalize()
-            telemetry.count(f"runner.trials_{record.status}")
-            telemetry.count(f"runner.outcome_{record.outcome_class}")
-            span.set(status=record.status, attempts=record.attempts,
-                     queue_wait=0.0, run_time=record.duration, worker=0,
-                     outcome=record.outcome_class)
-            span.finish(record.status)
-        log.debug("trial %s: %s after %d attempt(s) in %.3fs",
-                  task.trial_id, record.status, record.attempts,
-                  record.duration)
-        results[task.trial_id] = record
-        if journal is not None:
-            journal.append(record)
-    return results
+@dataclass
+class _Chunk:
+    """Trials that run as one unit, and the state of their attempts."""
+
+    tasks: list[TrialTask]
+    #: cut as a batch: runs through the kind's batch executor whatever its
+    #: size (a ragged tail of one included)
+    batched: bool
+    attempt: int = 1
+    timeouts: int = 0
+    first_started: float = 0.0
+    started: float = 0.0  # the current attempt's start
+    run_time: float = 0.0  # summed attempt wall-time
+    span: object = None  # ``trial`` or ``trial_batch``, opened at first start
+
+    @property
+    def kind(self) -> str:
+        return self.tasks[0].kind
+
+    def attempt_args(self) -> tuple:
+        """:func:`_attempt`'s arguments, the span already open."""
+        return (self.kind, [_dispatch_payload(t) for t in self.tasks],
+                self.batched, self.span.context())
 
 
-# -- batched path -----------------------------------------------------------
+def _cut(tasks: list[TrialTask], batch_trials: int) -> list[_Chunk]:
+    """Split the plan into chunks, once.
 
-def _run_batched(tasks: list[TrialTask], journal: Journal | None,
-                 batch_trials: int,
-                 retries: int) -> dict[str, TrialRecord]:
-    """Chunked in-process execution for ``batch_trials > 1``.
-
-    Batchable tasks are grouped by (kind, group key) — preserving task order
-    within a group — and cut into consecutive chunks of up to
-    ``batch_trials`` trials (a ragged tail is an ordinary smaller chunk).
-    Tasks whose kind has no batched executor run through the inline path
-    unchanged, as does any chunk whose executor raises: the fallback re-runs
-    that chunk's trials sequentially, which is outcome-identical by the
-    batch-kind contract, so a batch-level crash degrades to the sequential
-    campaign instead of failing N trials at once.
+    Under ``batch_trials > 1`` batchable tasks are grouped by (kind, group
+    key) — preserving task order within a group — and cut into consecutive
+    chunks of up to ``batch_trials`` trials (a ragged tail is an ordinary
+    smaller chunk).  Every other task is a chunk of one, ahead of them.
     """
-    results: dict[str, TrialRecord] = {}
-    unbatched: list[TrialTask] = []
+    singles: list[_Chunk] = []
     groups: dict[tuple[str, str], list[TrialTask]] = {}
     for task in tasks:
-        batch_kind = BATCH_TRIAL_KINDS.get(task.kind)
+        batch_kind = BATCH_TRIAL_KINDS.get(task.kind) \
+            if batch_trials > 1 else None
         if batch_kind is None:
-            unbatched.append(task)
+            singles.append(_Chunk([task], batched=False))
         else:
             key = (task.kind, batch_kind.group_key(task.payload))
             groups.setdefault(key, []).append(task)
-    if unbatched:
-        results.update(_run_inline(unbatched, journal, retries))
-    for (kind_name, _), group in groups.items():
-        func = BATCH_TRIAL_KINDS[kind_name].func
-        for cut in range(0, len(group), batch_trials):
-            chunk = group[cut:cut + batch_trials]
-            results.update(_run_chunk(chunk, func, journal, retries))
-    return results
+    return singles + [_Chunk(group[cut:cut + batch_trials], batched=True)
+                      for group in groups.values()
+                      for cut in range(0, len(group), batch_trials)]
 
 
-def _run_chunk(chunk: list[TrialTask],
-               func: Callable[[list[dict]], list[dict]],
-               journal: Journal | None,
-               retries: int) -> dict[str, TrialRecord]:
-    """One batched chunk -> one record per trial (or a sequential fallback).
+def _attempt(kind: str, payloads: list[dict], batched: bool,
+             trace: dict) -> list[dict]:
+    """One attempt at a chunk: one outcome per payload, in order.
 
-    The chunk's wall-time is split evenly across its records: per-trial
-    attribution inside a shared training pass is meaningless, but the sum
-    over the journal must still equal the time actually spent.
+    *trace* is the chunk span's exported context: every span the trials
+    open (``inject``, ``train``, ``hdf5.open``) descends from the chunk's
+    ``trial`` or ``trial_batch`` span, in process or across the fork.
     """
-    started = time.monotonic()
-    outcomes = None
-    with telemetry.span("trial_batch", kind=chunk[0].kind,
-                        size=len(chunk)) as span:
-        try:
-            outcomes = func([_dispatch_payload(task) for task in chunk])
-            if len(outcomes) != len(chunk):
-                raise ValueError(
-                    f"batch executor returned {len(outcomes)} outcomes "
-                    f"for {len(chunk)} trials")
-        except Exception:
-            log.warning("batch of %d %r trials failed; re-running them "
-                        "sequentially", len(chunk), chunk[0].kind,
-                        exc_info=True)
+    with telemetry.ambient(trace):
+        if not batched:
+            return [get_trial_kind(kind)(payloads[0])]
+        outcomes = BATCH_TRIAL_KINDS[kind].func(payloads)
+    if len(outcomes) != len(payloads):
+        raise ValueError(f"batch executor returned {len(outcomes)} "
+                         f"outcomes for {len(payloads)} trials")
+    return outcomes
+
+
+# -- the scheduling policy --------------------------------------------------
+
+class _Policy:
+    """What happens to each chunk attempt, whoever launches it.
+
+    A successful attempt journals one record per trial; the chunk's
+    wall-time is split evenly across them (per-trial attribution inside a
+    shared training pass is meaningless, but the sum over the journal must
+    still equal the time spent).  A failed batched chunk falls back to
+    chunks of one — outcome-identical by the batch-kind contract, so a
+    batch-level crash degrades to the sequential campaign instead of
+    failing N trials at once.  A failed chunk of one is retried
+    ``retries`` times, then journaled ``failed``.
+    """
+
+    def __init__(self, chunks: list[_Chunk], journal: Journal | None,
+                 retries: int, campaign_start: float):
+        self.pending = chunks[::-1]  # pop() from the end keeps plan order
+        self.journal = journal
+        self.retries = retries
+        self.campaign_start = campaign_start
+        self.records: dict[str, TrialRecord] = {}
+
+    def take(self) -> _Chunk | None:
+        """The next chunk attempt to launch, its span open."""
+        if not self.pending:
+            return None
+        chunk = self.pending.pop()
+        chunk.started = time.monotonic()
+        if chunk.span is None:
+            # the span covers first start -> terminal record, spanning
+            # retries; the trials' own spans parent to it
+            chunk.first_started = chunk.started
+            chunk.span = telemetry.start_span(
+                "trial_batch", kind=chunk.kind, size=len(chunk.tasks)
+            ) if chunk.batched else telemetry.start_span(
+                "trial", trial_id=chunk.tasks[0].trial_id, kind=chunk.kind)
+        return chunk
+
+    def settle(self, chunk: _Chunk, outcomes: list[dict] | None,
+               error: str | None, *, timed_out: bool = False,
+               worker: int = 0) -> None:
+        """Record how *chunk*'s attempt ended (*outcomes* ``None``: failed
+        with *error*)."""
+        now = time.monotonic()
+        chunk.run_time += now - chunk.started
+        chunk.timeouts += timed_out
+        if outcomes is not None:
+            self._finish(chunk, "ok", outcomes, None, chunk.timeouts > 0,
+                         worker, now)
+        elif chunk.batched:
+            log.warning("batch of %d %r trials failed; re-running them one "
+                        "at a time:\n%s", len(chunk.tasks), chunk.kind, error)
             telemetry.count("runner.batch_fallbacks")
-            span.set(fallback=True)
-            span.finish("failed")
+            chunk.span.set(fallback=True, run_time=chunk.run_time)
+            chunk.span.finish("failed")
+            self.pending.extend(_Chunk([task], batched=False)
+                                for task in reversed(chunk.tasks))
+        elif chunk.attempt <= self.retries:
+            telemetry.count("runner.retries")
+            chunk.attempt += 1
+            self.pending.append(chunk)
         else:
-            span.set(fallback=False,
-                     run_time=time.monotonic() - started)
-            span.finish("ok")
-    if outcomes is None:
-        return _run_inline(list(chunk), journal, retries)
-    elapsed = time.monotonic() - started
-    results: dict[str, TrialRecord] = {}
-    for task, outcome in zip(chunk, outcomes):
-        record = TrialRecord(
-            trial_id=task.trial_id, kind=task.kind, status="ok",
-            outcome=outcome, attempts=1, duration=elapsed / len(chunk),
-            payload=task.payload,
-        )
-        record.finalize()
-        telemetry.count("runner.trials_ok")
-        telemetry.count(f"runner.outcome_{record.outcome_class}")
-        log.debug("trial %s: ok (batched, chunk of %d)",
-                  task.trial_id, len(chunk))
-        results[task.trial_id] = record
-        if journal is not None:
-            journal.append(record)
-    return results
+            self._finish(chunk, "failed", [None], error, timed_out, worker,
+                         now)
+
+    def _finish(self, chunk: _Chunk, status: str, outcomes: list,
+                error: str | None, timed_out: bool, worker: int,
+                now: float) -> None:
+        records = [TrialRecord(
+            trial_id=task.trial_id, kind=task.kind, status=status,
+            outcome=outcome, error=error, attempts=chunk.attempt,
+            timed_out=timed_out,
+            duration=(now - chunk.first_started) / len(chunk.tasks),
+            worker=worker, payload=task.payload,
+        ) for task, outcome in zip(chunk.tasks, outcomes)]
+        for record in records:
+            record.finalize()
+            telemetry.count(f"runner.trials_{status}")
+            telemetry.count(f"runner.outcome_{record.outcome_class}")
+        if chunk.batched:
+            chunk.span.set(fallback=False, run_time=chunk.run_time)
+        else:
+            chunk.span.set(
+                status=status, attempts=chunk.attempt, worker=worker,
+                timed_out=timed_out,
+                queue_wait=chunk.first_started - self.campaign_start,
+                run_time=chunk.run_time, outcome=records[0].outcome_class,
+            )
+        chunk.span.finish(status)
+        for record in records:
+            log.debug("trial %s: %s after %d attempt(s) in %.3fs "
+                      "(worker %d, chunk of %d)", record.trial_id, status,
+                      record.attempts, record.duration, worker,
+                      len(chunk.tasks))
+            self.records[record.trial_id] = record
+            if self.journal is not None:
+                self.journal.append(record)
 
 
-# -- parallel path ----------------------------------------------------------
+# -- launchers --------------------------------------------------------------
 
-def _child_main(conn, kind: str, payload: dict,
-                trace: dict | None = None) -> None:
-    """Worker entry point: run one trial, ship the outcome over the pipe.
+def _run_in_process(policy: _Policy) -> None:
+    while (chunk := policy.take()) is not None:
+        try:
+            outcomes, error = _attempt(*chunk.attempt_args()), None
+        except Exception:
+            outcomes, error = None, traceback.format_exc(limit=8)
+        policy.settle(chunk, outcomes, error)
 
-    *trace* is the parent-side trial span's exported context: adopting it
-    makes every span the trial opens (``inject``, ``train``, ``hdf5.open``)
-    a descendant of that trial span in the merged event stream.
-    """
-    telemetry.adopt(trace)
+
+def _child_main(conn, kind: str, payloads: list[dict], batched: bool,
+                trace: dict) -> None:
+    """Worker entry point: run one chunk attempt, ship the outcomes over
+    the pipe."""
     try:
-        outcome = get_trial_kind(kind)(payload)
-        conn.send(("ok", outcome))
+        conn.send(("ok", _attempt(kind, payloads, batched, trace)))
     except BaseException:
         try:
             conn.send(("error", traceback.format_exc(limit=8)))
@@ -531,148 +570,51 @@ def _child_main(conn, kind: str, payload: dict,
 
 
 @dataclass
-class _Pending:
-    """A trial attempt waiting for a worker slot."""
-
-    task: TrialTask
-    attempt: int = 1
-    timeouts: int = 0
-    first_started: float | None = None
-    run_time: float = 0.0  # attempt wall-time already spent (retries)
-    span: object = None  # parent-side trial span, opened at first fork
-
-
-@dataclass
 class _InFlight:
-    task: TrialTask
-    attempt: int
+    chunk: _Chunk
     process: object
     conn: object
-    deadline: float | None
-    started: float
-    first_started: float
     slot: int
-    timeouts: int = 0
-    run_time: float = 0.0
-    span: object = telemetry.NOOP_SPAN
+    deadline: float | None
 
 
-def _run_pool(tasks: list[TrialTask], journal: Journal | None, workers: int,
-              trial_timeout: float | None, retries: int,
-              campaign) -> dict[str, TrialRecord]:
-    """Fork the trials over *workers* processes, the BLAS threads split
-    among them.
+def _run_forked(policy: _Policy, workers: int,
+                trial_timeout: float | None) -> None:
+    """One fork per chunk attempt, at most *workers* at a time.
 
-    The thread count is lowered here, in the parent and before any fork,
-    so every child inherits its share of the CPUs and never starts helper
-    threads of its own (:func:`repro.nn.blas.thread_budget`); the count
-    applied is recorded on the *campaign* span.
-    """
-    with blas.thread_budget(workers) as blas_threads:
-        campaign.set(blas_threads=blas_threads)
-        return _fork_trials(tasks, journal, workers, trial_timeout, retries)
-
-
-def _fork_trials(tasks: list[TrialTask], journal: Journal | None,
-                 workers: int, trial_timeout: float | None,
-                 retries: int) -> dict[str, TrialRecord]:
-    """Process-per-trial scheduler with timeouts and bounded retry.
-
-    One fork per attempt keeps trials fully isolated (a segfault or hang
-    kills the child, never the campaign) and makes timeout enforcement a
-    simple ``terminate()``.
+    Forking keeps attempts fully isolated (a segfault or hang kills the
+    child, never the campaign) and makes timeout enforcement a simple
+    ``terminate()``.  The caller holds :func:`repro.nn.blas.thread_budget`
+    across this call, so every child inherits its share of the CPUs.
     """
     ctx = get_context("fork")
-    results: dict[str, TrialRecord] = {}
-    pending: list[_Pending] = [_Pending(task=t) for t in tasks]
-    pending.reverse()  # pop() from the end preserves task order
     inflight: list[_InFlight] = []
     free_slots = list(range(workers - 1, -1, -1))
     pool_start = time.monotonic()
     busy_seconds = 0.0  # summed attempt wall-time, for worker utilization
 
-    def finish(flight: _InFlight, status: str, outcome: dict | None,
-               error: str | None, timed_out: bool, now: float) -> None:
-        record = TrialRecord(
-            trial_id=flight.task.trial_id, kind=flight.task.kind,
-            status=status, outcome=outcome, error=error,
-            attempts=flight.attempt, timed_out=timed_out,
-            duration=now - flight.first_started,
-            worker=flight.slot, payload=flight.task.payload,
-        )
-        record.finalize()
-        telemetry.count(f"runner.trials_{status}")
-        telemetry.count(f"runner.outcome_{record.outcome_class}")
-        flight.span.set(
-            status=status, attempts=flight.attempt, worker=flight.slot,
-            timed_out=timed_out,
-            queue_wait=flight.first_started - pool_start,
-            run_time=flight.run_time + (now - flight.started),
-            outcome=record.outcome_class,
-        )
-        flight.span.finish(status)
-        log.debug("trial %s: %s after %d attempt(s) in %.3fs (worker %d)",
-                  record.trial_id, status, record.attempts, record.duration,
-                  flight.slot)
-        results[flight.task.trial_id] = record
-        if journal is not None:
-            journal.append(record)
-
-    def retry_or_fail(flight: _InFlight, error: str, timed_out: bool,
-                      now: float) -> None:
-        if flight.attempt <= retries:
-            telemetry.count("runner.retries")
-            pending.append(_Pending(
-                task=flight.task, attempt=flight.attempt + 1,
-                timeouts=flight.timeouts + (1 if timed_out else 0),
-                first_started=flight.first_started,
-                run_time=flight.run_time + (now - flight.started),
-                span=flight.span,
-            ))
-        else:
-            finish(flight, "failed", None, error, timed_out, now)
-
-    while pending or inflight:
-        while pending and free_slots:
-            item = pending.pop()
-            slot = free_slots.pop()
-            now = time.monotonic()
-            span = item.span
-            if span is None:
-                # the trial span covers first fork -> terminal record,
-                # spanning retries; workers parent their spans to it
-                span = telemetry.start_span(
-                    "trial", trial_id=item.task.trial_id,
-                    kind=item.task.kind,
-                )
+    while policy.pending or inflight:
+        while free_slots and (chunk := policy.take()) is not None:
             parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_child_main,
-                args=(child_conn, item.task.kind,
-                      _dispatch_payload(item.task), span.context()),
-            )
+            proc = ctx.Process(target=_child_main,
+                               args=(child_conn, *chunk.attempt_args()))
             proc.start()
             child_conn.close()
             inflight.append(_InFlight(
-                task=item.task, attempt=item.attempt, process=proc,
-                conn=parent_conn,
+                chunk=chunk, process=proc, conn=parent_conn,
+                slot=free_slots.pop(),
                 deadline=(None if trial_timeout is None
-                          else now + trial_timeout),
-                started=now,
-                first_started=item.first_started
-                if item.first_started is not None else now,
-                slot=slot, timeouts=item.timeouts, run_time=item.run_time,
-                span=span,
+                          else chunk.started + trial_timeout),
             ))
 
         ready = connection.wait([f.conn for f in inflight], timeout=0.05)
         now = time.monotonic()
         still: list[_InFlight] = []
         for flight in inflight:
-            done = False
+            outcomes, timed_out = None, False
             # a child may exit between connection.wait and this check with
             # its result still buffered in the pipe — poll before trusting
-            # the exit code, or a completed trial gets retried as crashed.
+            # the exit code, or a completed chunk gets retried as crashed.
             if flight.conn in ready or flight.conn.poll(0):
                 try:
                     status, value = flight.conn.recv()
@@ -681,40 +623,28 @@ def _fork_trials(tasks: list[TrialTask], journal: Journal | None,
                     status, value = "error", "worker died without a result"
                     telemetry.count("runner.worker_crashes")
                 flight.process.join()
-                flight.conn.close()
-                if status == "ok":
-                    finish(flight, "ok", value, None, flight.timeouts > 0,
-                           now)
-                else:
-                    retry_or_fail(flight, value, timed_out=False, now=now)
-                done = True
+                outcomes, error = (value, None) if status == "ok" \
+                    else (None, value)
             elif flight.process.exitcode is not None:
                 # exited without sending anything
-                flight.conn.close()
                 telemetry.count("runner.worker_crashes")
-                retry_or_fail(
-                    flight,
-                    f"worker exited with code {flight.process.exitcode} "
-                    "before reporting a result",
-                    timed_out=False, now=now,
-                )
-                done = True
+                error = (f"worker exited with code {flight.process.exitcode}"
+                         " before reporting a result")
             elif flight.deadline is not None and now > flight.deadline:
                 flight.process.terminate()
                 flight.process.join()
-                flight.conn.close()
                 telemetry.count("runner.timeouts")
-                retry_or_fail(
-                    flight,
-                    f"trial timed out after {now - flight.started:.1f}s",
-                    timed_out=True, now=now,
-                )
-                done = True
-            if done:
-                busy_seconds += now - flight.started
-                free_slots.append(flight.slot)
+                timed_out = True
+                error = (f"trial timed out after "
+                         f"{now - flight.chunk.started:.1f}s")
             else:
                 still.append(flight)
+                continue
+            flight.conn.close()
+            busy_seconds += now - flight.chunk.started
+            free_slots.append(flight.slot)
+            policy.settle(flight.chunk, outcomes, error, timed_out=timed_out,
+                          worker=flight.slot)
         inflight = still
 
     elapsed = time.monotonic() - pool_start
@@ -722,4 +652,3 @@ def _fork_trials(tasks: list[TrialTask], journal: Journal | None,
         telemetry.gauge("runner.worker_utilization",
                         busy_seconds / (workers * elapsed))
     telemetry.count("runner.busy_seconds", busy_seconds)
-    return results

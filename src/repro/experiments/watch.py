@@ -194,7 +194,7 @@ class CampaignWatch:
 
         now = time.monotonic()
         wall = time.time()
-        # the pool forks one short-lived process per trial attempt, so raw
+        # the pool forks one short-lived process per chunk attempt, so raw
         # pid counting over-reports massively; trial spans carry the pool
         # slot (`worker`), which is bounded by the worker count.  Before
         # the first trial closes, fall back to recently-writing pids.

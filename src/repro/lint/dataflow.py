@@ -105,8 +105,7 @@ def _ordered_nodes(func: ast.AST) -> Iterator[ast.AST]:
 
     Nested defs and lambdas are absorbed into the enclosing top-level
     function: a closure's lock acquisition or fsync belongs to the
-    function whose lifetime it shares (``_run_pool``'s ``finish`` runs as
-    part of ``_run_pool``).
+    function whose lifetime it shares.
     """
     nodes = [node for node in ast.walk(func) if hasattr(node, "lineno")]
     nodes.sort(key=lambda n: (n.lineno, n.col_offset))

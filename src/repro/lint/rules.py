@@ -190,7 +190,7 @@ def _is_constant_name(name: str) -> bool:
     description="no locks, open files, or mutable state at import time "
                 "in fork-boundary modules",
     rationale=(
-        "the campaign runner (PR 1) forks one process per trial attempt; "
+        "the campaign runner forks one process per chunk attempt; "
         "a module-level lock forks in an arbitrary held/released state, an "
         "open hdf5.File handle aliases one memmap from every worker, and "
         "lowercase module-level mutable state invites cross-fork mutation "

@@ -1,6 +1,6 @@
 """Whole-program rule: fork-reachability safety.
 
-The campaign runner forks one process per trial attempt
+The campaign runner forks one process per chunk attempt
 (``ctx.Process(target=_child_main)``), and the scheduler forks shard
 workers the same way.  The per-file ``fork-safety`` rule polices what the
 *experiments modules* create at import time; this rule polices what the

@@ -6,7 +6,7 @@ the repo a single shared notion of *what happened when*:
 
 * **Spans** (:func:`span` / :func:`start_span`) time operations, nest
   through a context variable, carry attributes, and survive the fork
-  boundary into campaign workers via :meth:`Span.context` + :func:`adopt`.
+  boundary into campaign workers via :meth:`Span.context` + :func:`ambient`.
 * **Metrics** (:func:`count` / :func:`gauge` / :func:`observe`) accumulate
   per process and are flushed into the event stream as mergeable snapshots.
 * **Sinks** receive events: :class:`JsonlSink` writes the merged campaign
@@ -42,7 +42,7 @@ from .core import (
     Pipeline,
     Span,
     TraceContext,
-    adopt,
+    ambient,
     configure,
     count,
     current_trace,
@@ -107,7 +107,7 @@ __all__ = [
     "TrialSummary",
     "VERBOSITY_LEVELS",
     "WorkerStatus",
-    "adopt",
+    "ambient",
     "chrome_trace",
     "escape_label_value",
     "configure",

@@ -15,10 +15,10 @@ Span semantics:
   context stack; the campaign runner uses it to keep one span per in-flight
   trial open concurrently, finishing each by hand.
 * :meth:`Span.context` exports the minimal trace context (trace id +
-  span id) as a JSON-safe dict; :func:`adopt` installs it as the ambient
-  parent in another process, which is how a trial span opened in the
-  campaign parent becomes the parent of the ``inject``/``train`` spans
-  opened inside a forked worker.
+  span id) as a JSON-safe dict; :func:`ambient` installs it as the
+  ambient parent for a block, in this process or another, which is how a
+  trial span opened in the campaign parent becomes the parent of the
+  ``inject``/``train`` spans opened inside a forked worker.
 
 Crossing *process and host* boundaries (not just ``fork``) goes through
 the explicit :class:`TraceContext` carrier: the submitting side exports
@@ -195,7 +195,7 @@ class Span:
 
 
 class _RemoteParent:
-    """Stand-in for a span living in another process (see :func:`adopt`)."""
+    """Stand-in for a span known only by its id (see :func:`ambient`)."""
 
     __slots__ = ("span_id",)
 
@@ -412,15 +412,24 @@ def trace_scope(trace: "TraceContext | dict | None" = None, *,
                 tee.close()
 
 
-def adopt(trace: dict | None) -> None:
-    """Install an inherited trace context as this process's ambient parent.
+@contextlib.contextmanager
+def ambient(trace: dict | None):
+    """Make the span *trace* names the ambient parent inside the block.
 
-    Called by forked campaign workers with the trial span's exported
-    context, so every span they open nests under the parent-side trial
-    span.  ``None`` (telemetry off in the parent) resets the ambient stack.
+    *trace* is a span's exported :meth:`Span.context`, from this process
+    or across a fork: the campaign runner runs every chunk attempt under
+    its chunk span's context, so each span the trials open nests under
+    it.  Leaving the block restores the previous parent and, unlike
+    ``with span:``, finishes nothing, so one detached span can parent
+    several blocks (a chunk's retries).  ``None`` or a context without a
+    span id (telemetry off) clears the ambient parent.
     """
     span_id = (trace or {}).get("span_id")
-    _current.set(_RemoteParent(span_id) if span_id else None)
+    token = _current.set(_RemoteParent(span_id) if span_id else None)
+    try:
+        yield
+    finally:
+        _current.reset(token)
 
 
 @contextlib.contextmanager

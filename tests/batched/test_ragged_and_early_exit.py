@@ -7,6 +7,8 @@ batches that lose trials (or every trial) to collapse mid-training.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.experiments import fig3_bitflip_rates as fig3
@@ -41,7 +43,10 @@ def _double(payload: dict) -> dict:
                   group_key=lambda payload: payload["group"])
 def _double_batch(payloads: list[dict]) -> list[dict]:
     CHUNK_LOG.append([p["value"] for p in payloads])
-    return [{"doubled": p["value"] * 2} for p in payloads]
+    # the chunk size rides on the outcome too: a forked chunk's CHUNK_LOG
+    # entry stays in its child process
+    return [{"doubled": p["value"] * 2, "chunk": len(payloads)}
+            for p in payloads]
 
 
 @trial_kind("synthetic-fragile")
@@ -53,6 +58,17 @@ def _fragile(payload: dict) -> dict:
                   group_key=lambda payload: payload["group"])
 def _fragile_batch(payloads: list[dict]) -> list[dict]:
     raise RuntimeError("whole batch crashed")
+
+
+@trial_kind("synthetic-exiting")
+def _exiting(payload: dict) -> dict:
+    return {"value": payload["value"]}
+
+
+@batch_trial_kind("synthetic-exiting",
+                  group_key=lambda payload: payload["group"])
+def _exiting_batch(payloads: list[dict]) -> list[dict]:
+    os._exit(3)  # a worker that dies mid-chunk: no exception, no result
 
 
 @trial_kind("synthetic-plain")
@@ -91,11 +107,25 @@ class TestChunking:
         assert [r.outcome["plain"] for r in result.records] == [0, 1, 2]
         assert all(r.status == "ok" for r in result.records)
 
-    def test_batch_trials_rejects_worker_pool(self):
-        with pytest.raises(ValueError, match="workers=1"):
-            run_campaign([], workers=4, batch_trials=2)
+    def test_batch_trials_rejects_trial_timeout(self):
         with pytest.raises(ValueError, match="trial_timeout"):
             run_campaign([], trial_timeout=1.0, batch_trials=2)
+
+    def test_pool_workers_run_whole_chunks(self):
+        """Forked workers run the chunks the inline path would: 7 trials
+        at batch 3 over two workers -> chunks of 3, 3, 1."""
+        result = run_campaign(make_tasks("synthetic-double", 7),
+                              workers=2, batch_trials=3)
+        assert [r.outcome["chunk"] for r in result.records] == \
+            [3, 3, 3, 3, 3, 3, 1]
+        assert [r.outcome["doubled"] for r in result.records] == \
+            [0, 2, 4, 6, 8, 10, 12]
+
+    def test_pool_groups_never_share_a_chunk(self):
+        tasks = (make_tasks("synthetic-double", 2, group="a")
+                 + make_tasks("synthetic-double", 2, group="b"))
+        result = run_campaign(tasks, workers=2, batch_trials=4)
+        assert [r.outcome["chunk"] for r in result.records] == [2, 2, 2, 2]
 
 
 class TestAllCrashBatch:
@@ -106,6 +136,16 @@ class TestAllCrashBatch:
                               batch_trials=5)
         assert all(r.status == "ok" for r in result.records)
         assert [r.outcome["value"] for r in result.records] == [0, 1, 2, 3, 4]
+
+    def test_dead_forked_batch_falls_back_to_chunks_of_one(self):
+        """A chunk whose forked worker dies outright re-runs one trial per
+        fork, and every trial still succeeds on its first attempt."""
+        result = run_campaign(make_tasks("synthetic-exiting", 5),
+                              workers=2, batch_trials=3)
+        assert [r.status for r in result.records] == ["ok"] * 5
+        assert [r.outcome["value"] for r in result.records] == \
+            [0, 1, 2, 3, 4]
+        assert [r.attempts for r in result.records] == [1] * 5
 
     def test_fallback_journals_once_per_trial(self, tmp_path):
         journal_path = str(tmp_path / "fallback.jsonl")

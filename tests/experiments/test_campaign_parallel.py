@@ -45,9 +45,11 @@ class TestParallelEqualsSequential:
         kwargs = dict(scale="smoke", cache=cache,
                       pairs=(("chainer_like", "alexnet"),), bitflips=(1,))
         sequential = run_experiment("fig3", workers=1, **kwargs)
-        parallel = run_experiment("fig3", workers=3, **kwargs)
-        assert parallel.extra["curves"] == sequential.extra["curves"]
-        assert parallel.rows == sequential.rows
+        for parallel in (run_experiment("fig3", workers=3, **kwargs),
+                         run_experiment("fig3", workers=2, batch_trials=2,
+                                        **kwargs)):
+            assert parallel.extra["curves"] == sequential.extra["curves"]
+            assert parallel.rows == sequential.rows
 
     def test_table6_bit_identical_rows(self, cache):
         kwargs = dict(scale="smoke", cache=cache,

@@ -78,11 +78,23 @@ def test_unknown_experiment(capsys):
 
 def test_batch_trials_flag_incompatibilities(capsys):
     assert main(["run", "fig3", "--scale", "smoke", "--batch-trials", "4",
-                 "--workers", "4"]) == 2
-    assert "--workers 1" in capsys.readouterr().err
-    assert main(["run", "fig3", "--scale", "smoke", "--batch-trials", "4",
                  "--trial-timeout", "5"]) == 2
     assert "--trial-timeout" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--batch-trials", "0", "bad spec: batch_trials"),
+    ("--trial-timeout", "-1", "bad spec: trial_timeout"),
+    ("--retries", "-1", "bad spec: retries"),
+    ("--workers", "-2", "--workers must be at least 1"),
+])
+def test_bad_campaign_flag_is_a_usage_error(capsys, flag, value, message):
+    """Reported before any experiment runs, fig2 included."""
+    assert main(["run", "fig2", "fig3", "--scale", "smoke",
+                 flag, value]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Fig 2" not in captured.out
 
 
 def test_run_fig2_smoke(capsys):

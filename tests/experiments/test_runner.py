@@ -580,3 +580,9 @@ class TestDispatchTrialIdStamp:
                               journal=str(tmp_path / "j.jsonl"))
         self.assert_stamped(result)
         assert all(r.outcome.get("batched") for r in result.records)
+
+    def test_pool_batched_dispatch_stamps(self, tmp_path):
+        result = run_campaign(self.tasks(4), workers=2, batch_trials=2,
+                              journal=str(tmp_path / "j.jsonl"))
+        self.assert_stamped(result)
+        assert all(r.outcome.get("batched") for r in result.records)

@@ -101,19 +101,24 @@ def test_start_span_accepts_context_dict_parent():
     assert child_event["parent_id"] == parent.span_id
 
 
-def test_adopt_installs_remote_parent():
+def test_ambient_installs_remote_parent():
     sink = telemetry.InMemorySink()
     telemetry.configure(sink)
-    telemetry.adopt({"trace_id": "tr", "span_id": "dead.1"})
-    with telemetry.span("child"):
-        pass
+    with telemetry.span("outer") as outer:
+        with telemetry.ambient({"trace_id": "tr", "span_id": "dead.1"}):
+            with telemetry.span("child"):
+                pass
+            with telemetry.ambient(None):  # telemetry off upstream
+                with telemetry.span("orphan"):
+                    pass
+        with telemetry.span("after"):  # the block's parent is restored
+            pass
     (event,) = sink.spans("child")
     assert event["parent_id"] == "dead.1"
-    telemetry.adopt(None)  # reset
-    with telemetry.span("orphan"):
-        pass
     (orphan,) = sink.spans("orphan")
     assert orphan["parent_id"] is None
+    (after,) = sink.spans("after")
+    assert after["parent_id"] == outer.span_id
 
 
 def test_remote_parent_carries_span_id():

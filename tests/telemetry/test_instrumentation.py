@@ -4,6 +4,7 @@ campaign -> trial -> inject/train event pipeline survives the fork boundary."""
 import json
 import os
 import shutil
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,12 @@ import pytest
 from repro import hdf5, telemetry
 from repro.experiments import fig3_bitflip_rates as fig3
 from repro.experiments.common import BaselineCache
+from repro.experiments.runner import (
+    TrialTask,
+    batch_trial_kind,
+    run_campaign,
+    trial_kind,
+)
 from repro.injector import CheckpointCorrupter, InjectorConfig
 
 
@@ -181,3 +188,64 @@ def test_parallel_campaign_single_merged_stream(tmp_path):
     # and exactly one campaign span closed over everything
     (campaign,) = [s for s in summary.spans if s["name"] == "campaign"]
     assert campaign["attrs"]["workers"] == 2
+
+
+@trial_kind("test_telemetry_shape")
+def _shape_trial(payload):
+    time.sleep(0.2)  # an in-process campaign's next trial queues this long
+    with telemetry.span("train"):
+        return {"value": payload["value"]}
+
+
+@batch_trial_kind("test_telemetry_shape", group_key=lambda payload: "all")
+def _shape_batch(payloads):
+    with telemetry.span("train"):
+        return [{"value": payload["value"]} for payload in payloads]
+
+
+def _record_campaign(path, **kwargs):
+    tasks = [TrialTask(f"shape/{i}", "test_telemetry_shape", {"value": i})
+             for i in range(2)]
+    telemetry.configure(jsonl=str(path))
+    try:
+        run_campaign(tasks, **kwargs)
+    finally:
+        telemetry.shutdown()
+    spans = {}
+    for event in telemetry.load_events(str(path)):
+        if event["type"] == "span":
+            spans.setdefault(event["name"], []).append(event)
+    return spans
+
+
+def test_trial_span_shape_is_the_same_in_process_and_forked(tmp_path):
+    """`telemetry`, perfbench's tracing and the CI gate read these keys:
+    an in-process ``trial`` span carries the forked one's, both time
+    ``queue_wait`` from the campaign start to the trial's first start,
+    and both parent the spans their trial opens."""
+    keys = {}
+    for workers in (1, 2):
+        spans = _record_campaign(tmp_path / f"w{workers}.jsonl",
+                                 workers=workers)
+        (campaign,) = spans["campaign"]
+        keys[workers] = {frozenset(span["attrs"]) for span in spans["trial"]}
+        for span in spans["trial"]:
+            assert span["attrs"]["queue_wait"] == pytest.approx(
+                span["ts"] - campaign["ts"], abs=0.05)
+        assert sorted(train["parent_id"] for train in spans["train"]) == \
+            sorted(span["span_id"] for span in spans["trial"])
+    assert keys[1] == keys[2]
+    assert len(keys[1]) == 1
+
+
+def test_forked_batched_chunk_parents_its_train_span(tmp_path):
+    """perfbench's ``batched.*`` metrics read ``train`` spans under
+    ``trial_batch``: a forked chunk must ship that span's context."""
+    spans = _record_campaign(tmp_path / "batched.jsonl", workers=2,
+                             batch_trials=2)
+    (batch,) = spans["trial_batch"]
+    assert batch["attrs"]["size"] == 2
+    assert batch["attrs"]["fallback"] is False
+    (train,) = spans["train"]
+    assert train["parent_id"] == batch["span_id"]
+    assert train["pid"] != batch["pid"]
