@@ -5,7 +5,10 @@ because re-ingest skips already-consumed bytes and a cold ingest itself
 moves journals fast.  This bench measures the cold path: synthesize a
 campaign journal (plus a stamped flip-provenance stream to exercise the
 telemetry join), ingest it into a fresh store, and report trials/sec.
-The acceptance floor is 5000 trials/sec; CI gates on ``--min-rate``.
+The stream holds one ``flips`` line per trial, as the injector writes it,
+so the timing includes decoding it into ``flip`` events; every trial must
+join to its layer.  The acceptance floor is 5000 trials/sec; CI gates on
+``--min-rate``.
 
 A second timed pass re-ingests the unchanged journal, measuring the
 steady-state cost a live ``/atlas`` endpoint pays per request.
@@ -26,6 +29,7 @@ import tempfile
 import time
 
 from repro.atlas import AtlasIngester, AtlasStore
+from repro.telemetry.aggregate import FLIP_COLUMNS
 
 from conftest import write_bench_result
 
@@ -36,7 +40,7 @@ OUTCOMES = ("masked", "masked", "masked", "degraded", "collapsed")
 
 
 def synthesize(workdir: str, trials: int) -> tuple[str, str]:
-    """A *trials*-record journal plus its stamped flip stream."""
+    """A *trials*-record journal plus its stamped ``flips`` stream."""
     journal = os.path.join(workdir, "bench.jsonl")
     telemetry_path = os.path.join(workdir, "telemetry.jsonl")
     with open(journal, "w", encoding="utf-8") as journal_handle, \
@@ -53,15 +57,15 @@ def synthesize(workdir: str, trials: int) -> tuple[str, str]:
                 "outcome_class": OUTCOMES[index % len(OUTCOMES)],
                 "structural_findings": None,
             }) + "\n")
+            flip = {"location": LAYERS[index % len(LAYERS)],
+                    "flat_index": index, "kind": "f", "precision": 32,
+                    "bit_msb": index % 32, "old_value": 1.0,
+                    "new_value": -1.0}
             stream.write(json.dumps({
-                "type": "event", "name": "flip", "pid": 1,
+                "type": "event", "name": "flips", "pid": 1,
                 "ts": float(index), "span_id": None, "trace_id": "b",
                 "attrs": {"trial_id": trial_id,
-                          "location": LAYERS[index % len(LAYERS)],
-                          "flat_index": index, "kind": "f",
-                          "precision": 32, "bit_msb": index % 32,
-                          "old_value": 1.0, "new_value": -1.0,
-                          "delta": -2.0},
+                          **{name: [flip[name]] for name in FLIP_COLUMNS}},
             }) + "\n")
     return journal, telemetry_path
 
@@ -101,6 +105,9 @@ def main(argv: list[str] | None = None) -> int:
             elapsed, stats = time_ingest(store_root, journal,
                                          telemetry_path)
             assert stats["rows"] == args.trials, stats
+            layers = AtlasStore(store_root).load()["layer"]
+            assert "?" not in layers, \
+                f"{layers.count('?')} trials joined to no flip"
             cold_seconds = min(cold_seconds, elapsed)
             # steady-state: nothing new, the catalog short-circuits
             warm_elapsed, warm_stats = time_ingest(store_root, journal,

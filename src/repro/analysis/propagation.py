@@ -1,16 +1,19 @@
 """Error-propagation join: flipped layer → where the health stats move.
 
-The injector emits one ``flip`` telemetry event per applied corruption
-(layer path, bit, value delta) and :class:`repro.health.ModelHealthProbe`
-emits one ``health`` event per epoch (per-layer numerical stats).  This
-module joins the two streams: given the events of a corrupted run and its
-error-free baseline, it reports — per layer — the first epoch at which any
-health statistic diverges from the baseline, generalizing the hand-rolled
-weight-diff analysis of ``fig6_error_propagation`` to any probed campaign.
+The injector records every applied corruption (layer path, bit, value
+delta) in one ``flips`` telemetry event per injection, which
+:func:`repro.telemetry.decode_events` expands into one ``flip`` event per
+flip, and :class:`repro.health.ModelHealthProbe` emits one ``health``
+event per epoch (per-layer numerical stats).  This module joins the two
+streams: given the events of a corrupted run and its error-free baseline,
+it reports — per layer — the first epoch at which any health statistic
+diverges from the baseline, generalizing the hand-rolled weight-diff
+analysis of ``fig6_error_propagation`` to any probed campaign.
 
-Works on plain event dicts (a loaded JSONL stream or an
-``InMemorySink.events`` buffer); stdlib-only, like the rest of the offline
-aggregation layer.
+Works on plain event dicts — a loaded JSONL stream or an
+``InMemorySink.events`` buffer, whose ``flips`` events the flip filters
+decode first; stdlib-only, like the rest of the offline aggregation
+layer.
 
 **Per-trial attribution.**  Early revisions of this join assumed one trial
 per process, so a pid implicitly identified a trial.  Batched execution
@@ -19,13 +22,18 @@ and interleave their ``flip``/``health`` events in one stream.  Both
 emitters now stamp ``trial_id`` into their event attrs (the injector via
 ``telemetry.tag_scope``, the probe via ``ModelHealthProbe(trial_id=...)``)
 and every stream filter here takes a ``trial_id=`` keyword that keys the
-join on that stamp — the only correct per-trial key under batching.
+join on that stamp — the only correct per-trial key under batching.  A
+trial the runner re-ran (a retry, or a failed batched chunk's fallback)
+emitted its events once per attempt; a per-trial filter keeps only the
+last attempt's (:func:`repro.telemetry.final_attempt`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+from ..telemetry.aggregate import decode_events, final_attempt
 
 #: Health stats compared when looking for divergence, in the order they
 #: are reported as the divergence reason.  ``min``/``max`` are implied by
@@ -46,11 +54,13 @@ def _for_trial(events: list[dict], trial_id: str | None) -> list[dict]:
     ``None`` keeps every event (the single-trial-per-stream legacy mode);
     a concrete id keeps only events stamped with it — unstamped events are
     dropped rather than guessed at, since in a batched stream an unstamped
-    event could belong to any trial of the chunk.
+    event could belong to any trial of the chunk — and of those only the
+    trial's last attempt's.
     """
     if trial_id is None:
         return events
-    return [e for e in events if event_trial_id(e) == str(trial_id)]
+    return final_attempt(
+        [e for e in events if event_trial_id(e) == str(trial_id)])
 
 
 def health_events(events: list[dict], *,
@@ -64,9 +74,9 @@ def health_events(events: list[dict], *,
 
 def flip_events(events: list[dict], *,
                 trial_id: str | None = None) -> list[dict]:
-    """The injector's ``flip`` provenance events, in order."""
+    """The injector's provenance as decoded ``flip`` events, in order."""
     return _for_trial(
-        [e for e in events
+        [e for e in decode_events(events)
          if e.get("type") == "event" and e.get("name") == "flip"],
         trial_id)
 
@@ -99,7 +109,7 @@ def stream_trial_ids(events: list[dict]) -> list[str]:
     in first-seen order — the iteration key for per-trial reports over a
     batched chunk's shared stream."""
     seen: list[str] = []
-    for event in events:
+    for event in decode_events(events):
         if event.get("type") != "event" or \
                 event.get("name") not in ("flip", "health"):
             continue
@@ -228,7 +238,8 @@ def propagation_report(corrupted_events: list[dict],
                        ) -> PropagationReport:
     """Join a corrupted run's flip provenance with its health divergence.
 
-    *corrupted_events* must hold the run's ``flip`` and ``health`` events;
+    *corrupted_events* must hold the run's flip provenance (``flips`` or
+    decoded ``flip`` events) and ``health`` events;
     *baseline_events* the error-free run's ``health`` events (its probe
     must have observed the same epochs).  When the streams come from a
     batched chunk (N trials, one pid), pass *trial_id* — the join is then

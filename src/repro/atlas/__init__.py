@@ -15,7 +15,9 @@ Layers, all stdlib + numpy:
   under re-ingest);
 * :mod:`repro.atlas.ingest` — :class:`AtlasIngester`, the offset-resumable
   walk over campaign roots and journals via the torn-line-tolerant
-  :class:`~repro.telemetry.fleet.JsonlTail`;
+  :class:`~repro.telemetry.fleet.JsonlTail`, joining each trial with the
+  ``flip`` events :func:`repro.telemetry.load_events` decodes from the
+  injector's one ``flips`` line per injection;
 * :mod:`repro.atlas.query` — :func:`surface`, :func:`rank_vulnerability`,
   :func:`diff_surfaces`, the rollup engine;
 * :mod:`repro.atlas.render` — terminal heatmaps, standalone HTML (inline

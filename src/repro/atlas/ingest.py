@@ -11,12 +11,15 @@ The ingester walks two kinds of inputs:
 Each journal is tailed through the torn-line-tolerant, offset-resumable
 :class:`~repro.telemetry.fleet.JsonlTail` — never raw file reads (the
 ``atlas-ingest-offsets`` lint rule pins this) — from the byte offset the
-catalog recorded last time.  Every trial record is joined with its flip
-provenance (``flip`` telemetry events, keyed on the ``trial_id`` stamp,
-with a span-parent-chain fallback for streams that predate stamping) and
-folded into one atlas row; rows land in the store's deterministic
-segments (see :mod:`repro.atlas.store` for why re-ingest is always
-byte-identical, including after a mid-ingest ``kill -9``).
+catalog recorded last time.  Telemetry streams are read whole through
+:func:`repro.telemetry.load_events`, which decodes the injector's
+``flips`` lines into one ``flip`` event per flip.  Every trial record is
+joined with its flip provenance (``flip`` events keyed on the
+``trial_id`` stamp, with a span-parent-chain fallback for streams that
+predate stamping, and only the last attempt's when the runner re-ran the
+trial) and folded into one atlas row; rows land in the store's
+deterministic segments (see :mod:`repro.atlas.store` for why re-ingest is
+always byte-identical, including after a mid-ingest ``kill -9``).
 """
 
 from __future__ import annotations
@@ -43,10 +46,12 @@ class JournalSource:
 def flips_by_trial(events: list[dict]) -> dict[str, list[dict]]:
     """Flip-event attrs grouped by owning trial.
 
-    The primary key is the ``trial_id`` stamp
-    (:func:`repro.telemetry.tag_scope` on the injection path); events from
-    streams that predate stamping are attributed by walking their span
-    parent chain up to the enclosing ``trial`` span.
+    *events* are decoded (:func:`repro.telemetry.decode_events`).  The
+    primary key is the ``trial_id`` stamp (:func:`repro.telemetry.tag_scope`
+    on the injection path); events from streams that predate stamping are
+    attributed by walking their span parent chain up to the enclosing
+    ``trial`` span.  A trial the runner re-ran keeps only its last
+    attempt's flips (:func:`repro.telemetry.final_attempt`).
     """
     spans = {e.get("span_id"): e for e in events
              if e.get("type") == "span" and e.get("span_id") is not None}
@@ -68,13 +73,14 @@ def flips_by_trial(events: list[dict]) -> dict[str, list[dict]]:
     for event in events:
         if event.get("type") != "event" or event.get("name") != "flip":
             continue
-        attrs = event.get("attrs") or {}
-        trial_id = attrs.get("trial_id")
+        trial_id = (event.get("attrs") or {}).get("trial_id")
         if trial_id is None:
             trial_id = from_span_chain(event.get("span_id"))
         if trial_id is not None:
-            grouped.setdefault(str(trial_id), []).append(attrs)
-    return grouped
+            grouped.setdefault(str(trial_id), []).append(event)
+    return {trial_id: [event.get("attrs") or {}
+                       for event in telemetry.final_attempt(flips)]
+            for trial_id, flips in grouped.items()}
 
 
 def _unique(values: list, *, multi, empty):
@@ -185,7 +191,7 @@ class AtlasIngester:
         if cached is None:
             cached = []
             for path in source.telemetry_paths:
-                cached.extend(JsonlTail(path).poll())
+                cached.extend(telemetry.load_events(path))
             self._event_cache[source.telemetry_paths] = cached
         return cached
 

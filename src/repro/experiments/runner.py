@@ -29,6 +29,7 @@ one ordinary record per trial.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import os
@@ -368,10 +369,11 @@ def _dispatch_payload(task: TrialTask) -> dict:
     """The payload copy handed to a trial function.
 
     ``trial_id`` rides along so emitters deep inside the trial — the
-    injector's ``flip`` provenance, the health probe's per-epoch snapshots
-    — can stamp the trial identity onto their telemetry (batched execution
-    shares one pid across N trials, so pid alone cannot attribute events).
-    The journaled record's ``payload`` stays the task's own, unchanged.
+    injector's ``flips`` provenance, the health probe's per-epoch
+    snapshots — can stamp the trial identity onto their telemetry (batched
+    execution shares one pid across N trials, so pid alone cannot
+    attribute events).  The journaled record's ``payload`` stays the
+    task's own, unchanged.
     """
     return {**task.payload, "trial_id": task.trial_id}
 
@@ -390,6 +392,7 @@ class _Chunk:
     started: float = 0.0  # the current attempt's start
     run_time: float = 0.0  # summed attempt wall-time
     span: object = None  # ``trial`` or ``trial_batch``, opened at first start
+    attempt_id: str = ""  # the current attempt's telemetry stamp
 
     @property
     def kind(self) -> str:
@@ -398,7 +401,7 @@ class _Chunk:
     def attempt_args(self) -> tuple:
         """:func:`_attempt`'s arguments, the span already open."""
         return (self.kind, [_dispatch_payload(t) for t in self.tasks],
-                self.batched, self.span.context())
+                self.batched, self.span.context(), self.attempt_id)
 
 
 def _cut(tasks: list[TrialTask], batch_trials: int) -> list[_Chunk]:
@@ -425,14 +428,16 @@ def _cut(tasks: list[TrialTask], batch_trials: int) -> list[_Chunk]:
 
 
 def _attempt(kind: str, payloads: list[dict], batched: bool,
-             trace: dict) -> list[dict]:
+             trace: dict, attempt_id: str) -> list[dict]:
     """One attempt at a chunk: one outcome per payload, in order.
 
     *trace* is the chunk span's exported context: every span the trials
     open (``inject``, ``train``, ``hdf5.open``) descends from the chunk's
     ``trial`` or ``trial_batch`` span, in process or across the fork.
+    Every event they emit is stamped with *attempt_id*, so readers can
+    keep one attempt's flips of a trial the policy ran again.
     """
-    with telemetry.ambient(trace):
+    with telemetry.ambient(trace), telemetry.tag_scope(attempt_id=attempt_id):
         if not batched:
             return [get_trial_kind(kind)(payloads[0])]
         outcomes = BATCH_TRIAL_KINDS[kind].func(payloads)
@@ -443,6 +448,10 @@ def _attempt(kind: str, payloads: list[dict], batched: bool,
 
 
 # -- the scheduling policy --------------------------------------------------
+
+#: chunk attempts launched by this process, across campaigns
+_launches = itertools.count(1)
+
 
 class _Policy:
     """What happens to each chunk attempt, whoever launches it.
@@ -471,6 +480,9 @@ class _Policy:
             return None
         chunk = self.pending.pop()
         chunk.started = time.monotonic()
+        # unique among a trial's attempts, a fallback's included, without
+        # touching any randomness an experiment could observe
+        chunk.attempt_id = f"{os.getpid():x}.{next(_launches)}"
         if chunk.span is None:
             # the span covers first start -> terminal record, spanning
             # retries; the trials' own spans parent to it
@@ -554,11 +566,12 @@ def _run_in_process(policy: _Policy) -> None:
 
 
 def _child_main(conn, kind: str, payloads: list[dict], batched: bool,
-                trace: dict) -> None:
+                trace: dict, attempt_id: str) -> None:
     """Worker entry point: run one chunk attempt, ship the outcomes over
     the pipe."""
     try:
-        conn.send(("ok", _attempt(kind, payloads, batched, trace)))
+        conn.send(("ok", _attempt(kind, payloads, batched, trace,
+                                  attempt_id)))
     except BaseException:
         try:
             conn.send(("error", traceback.format_exc(limit=8)))

@@ -336,18 +336,12 @@ def apply_plan(plan: InjectionPlan, store, rng: np.random.Generator,
             apply_span.set(successes=counters.successes,
                            nev_introduced=counters.nev_introduced,
                            bytes_touched=touched)
-            # per-flip provenance: which layer, which bit, what changed.
-            # Emitted identically by both engines (records are already in
-            # attempt order), after the mutation — never on the apply path,
-            # so instrumented campaigns stay bit-identical.
-            for record in records:
-                telemetry.event(
-                    "flip", location=record.location,
-                    flat_index=record.flat_index, kind=record.kind,
-                    precision=record.precision, bit_msb=record.bit_msb,
-                    old_value=record.old_value, new_value=record.new_value,
-                    delta=record.new_value - record.old_value,
-                )
+            # per-flip provenance: which layer, which bit, what changed, as
+            # one ``flips`` event of columns.  Emitted identically by both
+            # engines (records are already in attempt order), after the
+            # mutation — never on the apply path, so instrumented campaigns
+            # stay bit-identical.
+            telemetry.emit_flips(records)
     return records, counters
 
 

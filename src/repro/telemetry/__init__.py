@@ -12,6 +12,9 @@ the repo a single shared notion of *what happened when*:
 * **Sinks** receive events: :class:`JsonlSink` writes the merged campaign
   stream next to the trial journal, :class:`InMemorySink` backs the tests,
   :class:`NullSink` measures instrumentation overhead.
+* **Flip provenance** travels as one ``flips`` event of columns per
+  injection (:func:`emit_flips`); :func:`load_events` and
+  :func:`decode_events` hand readers one ``flip`` event per flip.
 * **Exporters** turn a finished stream into a Prometheus exposition
   (:func:`prometheus_exposition`) or a Chrome ``trace_event`` flamegraph
   (:func:`chrome_trace`); :class:`CampaignTelemetry` renders the
@@ -34,6 +37,9 @@ from .aggregate import (
     CampaignTelemetry,
     PhaseStat,
     TrialSummary,
+    decode_events,
+    emit_flips,
+    final_attempt,
     load_events,
     merge_metrics,
 )
@@ -113,9 +119,12 @@ __all__ = [
     "configure",
     "count",
     "current_trace",
+    "decode_events",
+    "emit_flips",
     "enabled",
     "evaluate_alerts",
     "event",
+    "final_attempt",
     "fleet_prometheus",
     "flush_metrics",
     "gauge",

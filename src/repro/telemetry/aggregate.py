@@ -6,6 +6,14 @@ methodology makes one ask of a large injection campaign: where does the
 wall-clock go, how fast are flips landing, which trials are slow, and what
 did each fault do to its training curve.
 
+Flip provenance has a wire format and a decoded form, both owned here.
+The injector writes one ``flips`` event per application
+(:func:`emit_flips`): its attrs are equal-length columns, one entry per
+applied flip, in attempt order.  :func:`decode_events` — and so
+:func:`load_events` — turns each ``flips`` event back into one ``flip``
+event per flip, the form every analysis reads.  :func:`final_attempt`
+drops the events of attempts the runner superseded.
+
 Metric merging rules (the counterpart of the registry's flush semantics):
 snapshots are cumulative per process, so the aggregator keeps the **last**
 snapshot per ``(host, pid, name)`` and sums across processes.  Counters
@@ -21,9 +29,76 @@ import json
 import os
 from dataclasses import dataclass, field
 
+from . import core
+
+
+#: The per-flip provenance fields: the columns of a ``flips`` event, in
+#: the order a decoded ``flip`` event lists them (``delta`` follows).
+FLIP_COLUMNS = ("location", "flat_index", "kind", "precision", "bit_msb",
+                "old_value", "new_value")
+
+
+def emit_flips(records) -> None:
+    """Emit *records* (``InjectionRecord``s) as one ``flips`` event.
+
+    Nothing is emitted for no records.  Ambient tags ride along as usual.
+    """
+    if records:
+        core.event("flips", **{
+            name: [getattr(record, name) for record in records]
+            for name in FLIP_COLUMNS})
+
+
+def _expand_flips(packed: dict) -> list[dict]:
+    attrs = packed.get("attrs") or {}
+    tags = {key: value for key, value in attrs.items()
+            if key not in FLIP_COLUMNS}
+    flips = []
+    for row in zip(*(attrs.get(name, ()) for name in FLIP_COLUMNS)):
+        flip = dict(zip(FLIP_COLUMNS, row))
+        flip["delta"] = flip["new_value"] - flip["old_value"]
+        flips.append({**packed, "name": "flip", "attrs": {**tags, **flip}})
+    return flips
+
+
+def decode_events(events) -> list[dict]:
+    """*events* with every ``flips`` event replaced by its ``flip`` events.
+
+    Each ``flip`` event keeps the ``flips`` event's envelope (pid, ts,
+    span, trace, host) and tags, and recomputes ``delta = new_value -
+    old_value``.  Anything else, per-flip ``flip`` events of older streams
+    included, passes through unchanged, so decoding is idempotent.
+    """
+    decoded: list[dict] = []
+    for item in events:
+        if item.get("name") == "flips" and item.get("type") == "event":
+            decoded.extend(_expand_flips(item))
+        else:
+            decoded.append(item)
+    return decoded
+
+
+def final_attempt(events: list[dict]) -> list[dict]:
+    """One trial's *events* without those of its superseded attempts.
+
+    The campaign runner stamps everything a chunk attempt emits with an
+    ``attempt_id``; a retried trial, or a batched one re-run alone after
+    its chunk failed, emits its provenance again under a new id.  The last
+    id in stream order is the attempt the journal recorded; events stamped
+    with an earlier one are dropped, unstamped events are kept.
+    """
+    last = None
+    for item in events:
+        last = (item.get("attrs") or {}).get("attempt_id", last)
+    if last is None:
+        return events
+    return [item for item in events
+            if (item.get("attrs") or {}).get("attempt_id", last) == last]
+
 
 def load_events(path: str) -> list[dict]:
-    """Parse a JSONL event stream, skipping unparseable lines.
+    """Parse a JSONL event stream, skipping unparseable lines, and decode
+    it (:func:`decode_events`).
 
     Telemetry is best-effort observability: a line torn by a crash (or by
     an interleaved write from a pathological filesystem) is dropped rather
@@ -43,7 +118,7 @@ def load_events(path: str) -> list[dict]:
                 continue
             if isinstance(parsed, dict):
                 events.append(parsed)
-    return events
+    return decode_events(events)
 
 
 def merge_metrics(events: list[dict]) -> dict[str, dict]:

@@ -437,11 +437,15 @@ def tag_scope(**tags):
     """Stamp *tags* onto every event emitted inside the ``with`` block.
 
     The executing-side half of per-trial attribution: emitters deep in the
-    stack (the injector's ``flip`` provenance, a probe's ``health``
+    stack (the injector's ``flips`` provenance, a probe's ``health``
     snapshots) have no idea which trial they serve, so the harness wraps
     the trial's work in ``tag_scope(trial_id=...)`` and the tags ride along
     as event attrs.  Batched execution makes this load-bearing — N trials
-    share one pid, so pid can no longer stand in for trial identity.
+    share one pid, so pid can no longer stand in for trial identity.  The
+    campaign runner wraps each chunk attempt in
+    ``tag_scope(attempt_id=...)`` the same way, so a trial it runs again
+    (a retry, a batched chunk's fallback) can be told from its earlier
+    attempts (:func:`repro.telemetry.final_attempt`).
 
     Scopes nest (inner tags shadow outer ones for the inner block);
     ``None``-valued tags are dropped; explicit ``event()`` attrs always win

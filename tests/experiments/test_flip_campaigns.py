@@ -15,6 +15,8 @@ import pathlib
 import pytest
 
 from repro import telemetry
+from repro.analysis import propagation_report
+from repro.atlas import AtlasIngester, AtlasStore
 from repro.experiments import fig3_bitflip_rates as fig3
 from repro.experiments import run_experiment
 from repro.experiments.common import (
@@ -171,3 +173,58 @@ def test_every_flip_kind_keeps_decorated_fork_entries():
     reached = graph.reachable_from(entries)
     assert "repro.experiments.fig3_bitflip_rates.run_flip_trials" in reached
     assert "repro.experiments.common.resume_training_batched" in reached
+
+
+class TestRerunTrialProvenance:
+    """A trial the runner runs again — a retry of a chunk of one, or a
+    failed batched chunk's fallback to chunks of one — corrupts a fresh
+    copy and emits its flips again.  Its provenance is its last attempt's
+    flips, so a 1-flip trial stays a ``single`` atlas row and the
+    propagation join counts one flip."""
+
+    def _run(self, cache, tmp_path, monkeypatch, **spec_fields):
+        resume = fig3.resume_training_batched
+        calls = []
+
+        def fails_first_call(*args, **kwargs):
+            calls.append(len(calls))
+            if len(calls) == 1:
+                raise RuntimeError("first training pass fails")
+            return resume(*args, **kwargs)
+
+        monkeypatch.setattr(fig3, "resume_training_batched",
+                            fails_first_call)
+        spec = CampaignSpec(kind="fig3", scale="smoke",
+                            params={"pairs": [["chainer_like", "alexnet"]],
+                                    "bitflips": [1], "trainings": 2},
+                            **spec_fields)
+        journal = str(tmp_path / "fig3.jsonl")
+        events = _recorded(tmp_path, "rerun", lambda: run_experiment(
+            "fig3", spec=spec, cache=cache, journal=journal))
+        assert len(calls) == 3
+        store = AtlasStore(str(tmp_path / "atlas"))
+        ingester = AtlasIngester(store)
+        ingester.add_journal(journal,
+                             telemetry_paths=(str(tmp_path / "rerun.jsonl"),))
+        ingester.ingest()
+        return store.load(), events
+
+    def _assert_one_flip_per_trial(self, rows, events):
+        assert len(rows["trial_id"]) == 2
+        assert rows["mode"] == ["single", "single"]
+        assert "?" not in rows["layer"]
+        assert all(bit >= 0 for bit in rows["bit"])
+        for trial_id in rows["trial_id"]:
+            report = propagation_report(events, [], trial_id=trial_id)
+            assert sum(report.flipped.values()) == 1, trial_id
+
+    def test_retried_trial_counts_its_last_attempt(self, cache, tmp_path,
+                                                   monkeypatch):
+        rows, events = self._run(cache, tmp_path, monkeypatch)
+        self._assert_one_flip_per_trial(rows, events)
+
+    def test_fallback_trials_count_their_last_attempt(self, cache, tmp_path,
+                                                      monkeypatch):
+        rows, events = self._run(cache, tmp_path, monkeypatch,
+                                 batch_trials=2)
+        self._assert_one_flip_per_trial(rows, events)

@@ -34,6 +34,47 @@ def test_load_events_missing_file(tmp_path):
     assert load_events(str(tmp_path / "absent.jsonl")) == []
 
 
+# -- flip provenance ---------------------------------------------------------
+
+def _flip(attrs):
+    return {"type": "event", "name": "flip", "pid": 1, "ts": 0.0,
+            "attrs": attrs}
+
+
+def test_load_events_decodes_flips_and_keeps_old_flip_lines(tmp_path):
+    packed = {"type": "event", "name": "flips", "pid": 2, "ts": 5.0,
+              "span_id": "s", "attrs": {
+                  "trial_id": "t/1", "location": ["a/W", "b/b"],
+                  "flat_index": [3, 0], "kind": ["bit_range", "integer"],
+                  "precision": [32, 64], "bit_msb": [4, None],
+                  "old_value": [0.5, 7.0], "new_value": [-0.5, 6.0]}}
+    legacy = _flip({"trial_id": "t/0", "location": "c/W", "delta": 1.0})
+    path = tmp_path / "events.jsonl"
+    path.write_text("".join(json.dumps(e, sort_keys=True) + "\n"
+                            for e in (legacy, packed)))
+    events = load_events(str(path))
+    assert events[0] == legacy
+    assert [e["name"] for e in events] == ["flip"] * 3
+    assert all(e["pid"] == 2 and e["span_id"] == "s" for e in events[1:])
+    assert [e["attrs"] for e in events[1:]] == [
+        {"trial_id": "t/1", "location": "a/W", "flat_index": 3,
+         "kind": "bit_range", "precision": 32, "bit_msb": 4,
+         "old_value": 0.5, "new_value": -0.5, "delta": -1.0},
+        {"trial_id": "t/1", "location": "b/b", "flat_index": 0,
+         "kind": "integer", "precision": 64, "bit_msb": None,
+         "old_value": 7.0, "new_value": 6.0, "delta": -1.0}]
+    assert telemetry.decode_events(events) == events
+
+
+def test_final_attempt_keeps_the_last_stamp_and_unstamped_events():
+    first = _flip({"attempt_id": "a.1", "location": "x"})
+    unstamped = _flip({"location": "y"})
+    last = _flip({"attempt_id": "a.2", "location": "z"})
+    assert telemetry.final_attempt([first, unstamped, last]) == \
+        [unstamped, last]
+    assert telemetry.final_attempt([unstamped]) == [unstamped]
+
+
 # -- merge_metrics -----------------------------------------------------------
 
 def test_counters_keep_last_per_pid_and_sum_across_pids():
