@@ -3,6 +3,9 @@
 Times a 1000-attempt ``bit_range`` campaign over an AlexNet-shaped fp32
 checkpoint with both engines, checks they produce byte-identical output,
 and archives the comparison as JSON for EXPERIMENTS.md / CI artifacts.
+The checkpoint holds AlexNet's eight bias vectors next to its weights, as
+a real one does; their few elements draw repeated indices, so the
+identity check covers the vectorized engine's read-after-write chains.
 
 File open/parse time is excluded — both engines share it unchanged; what
 is compared is the injection stage itself (plan sampling + apply), which
@@ -38,22 +41,29 @@ from conftest import write_bench_result
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-#: AlexNet weight shapes (fp32): ~54 M parameters, ~220 MB on disk.
+#: AlexNet weight and bias shapes (fp32): ~54 M parameters, ~220 MB on
+#: disk.
 ALEXNET_SHAPES: dict[str, tuple[int, ...]] = {
     "conv1/W": (96, 3, 11, 11),
+    "conv1/b": (96,),
     "conv2/W": (256, 96, 5, 5),
+    "conv2/b": (256,),
     "conv3/W": (384, 256, 3, 3),
+    "conv3/b": (384,),
     "conv4/W": (384, 384, 3, 3),
+    "conv4/b": (384,),
     "conv5/W": (256, 384, 3, 3),
+    "conv5/b": (256,),
     "fc6/W": (4096, 9216),
+    "fc6/b": (4096,),
     "fc7/W": (4096, 4096),
+    "fc7/b": (4096,),
     "fc8/W": (10, 4096),
+    "fc8/b": (10,),
 }
 
-#: Total-size divisor per scale.  Spread over the dims as the ndim-th root
-#: so every dataset keeps its aspect and stays large enough that random
-#: index draws rarely collide (collisions would shunt attempts onto the
-#: sequential path and distort the engine comparison).
+#: Total-size divisor per scale, spread over the dims as the ndim-th root
+#: so every dataset keeps its aspect.
 SCALE_DIVISORS = {"smoke": 16, "tiny": 8, "small": 4, "full": 1}
 
 

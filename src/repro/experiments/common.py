@@ -16,6 +16,7 @@ across trials and experiments.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import shutil
@@ -29,7 +30,7 @@ from ..batched import run_stacked_training
 from ..data import synthetic_cifar10
 from ..frameworks import get_facade, set_global_determinism
 from ..health import ModelHealthProbe, last_finite
-from ..nn import SGD, Trainer
+from ..nn import SGD, Trainer, rng
 from ..nn.model import Model
 from .locking import FileLock
 
@@ -206,13 +207,26 @@ def spec_group_key(payload: dict) -> str:
 
 
 def make_dataset(spec: SessionSpec):
-    """The deterministic train/test pair for a spec (after seeding)."""
-    size = spec.scale.model_image_size(spec.model)
-    return synthetic_cifar10(
-        train_size=spec.scale.train_size,
-        test_size=spec.scale.test_size,
-        image_size=size,
-    )
+    """The deterministic train/test pair for a spec (after seeding).
+
+    The pair is a pure function of the global seed, the RNG namespace and
+    its three sizes, so a process builds each pair once and hands every
+    caller the same read-only arrays, each in splits of its own.
+    """
+    return tuple(replace(split) for split in _dataset(
+        rng.current_seed(), rng.current_namespace(), spec.scale.train_size,
+        spec.scale.test_size, spec.scale.model_image_size(spec.model)))
+
+
+@functools.lru_cache(maxsize=2)
+def _dataset(seed: int, namespace: str, train_size: int, test_size: int,
+             image_size: int):
+    splits = synthetic_cifar10(train_size=train_size, test_size=test_size,
+                               image_size=image_size)
+    for split in splits:
+        split.images.flags.writeable = False
+        split.labels.flags.writeable = False
+    return splits
 
 
 def build_session_model(spec: SessionSpec) -> Model:
@@ -461,6 +475,7 @@ def resume_training_batched(spec: SessionSpec, checkpoint_paths: list[str],
                             keep_models: bool = False,
                             health_probe=False,
                             trial_ids: list[str] | None = None,
+                            template: hdf5.Structure | None = None,
                             ) -> list[ResumeOutcome]:
     """Batched analogue of :func:`resume_training` over N checkpoints.
 
@@ -479,6 +494,10 @@ def resume_training_batched(spec: SessionSpec, checkpoint_paths: list[str],
     per-trial ``epoch`` and probe ``health`` events: every trial in the
     batch emits into one shared process stream, so without the stamp the
     events are per-trial indistinguishable.
+
+    *template* is the checkpoints' shared parsed structure
+    (:func:`baseline_structure`); by default the first checkpoint is
+    parsed for it.
     """
     if not checkpoint_paths:
         return []
@@ -489,10 +508,11 @@ def resume_training_batched(spec: SessionSpec, checkpoint_paths: list[str],
     models, optimizers, start_epochs = [], [], []
     # Sibling checkpoints in a batch are byte-copies of one baseline whose
     # corruption touched only dataset payloads, so their structure — and
-    # hence every dataset offset — is identical.  Parse the first file once
-    # and let the others borrow its metadata tree (the template is ignored
+    # hence every dataset offset — is identical.  Parse it at most once
+    # and let every file borrow its metadata tree (the template is ignored
     # for any checkpoint whose size differs).
-    template = hdf5.File(checkpoint_paths[0], "r")
+    if template is None:
+        template = hdf5.File(checkpoint_paths[0], "r").structure
     for path in checkpoint_paths:
         model = build_session_model(spec)
         optimizer = SGD(lr=spec.effective_learning_rate,
@@ -546,6 +566,26 @@ def corrupted_copy(checkpoint_path: str, workdir: str, tag: str) -> str:
     target = os.path.join(workdir, f"{tag}.h5")
     shutil.copy(checkpoint_path, target)
     return target
+
+
+def baseline_structure(checkpoint_path: str) -> hdf5.Structure:
+    """The parsed structure of a baseline checkpoint, once per process.
+
+    Keyed on the file's identity — path, inode, size and mtime — so a
+    baseline rewritten on disk is parsed again.  Only the metadata is
+    kept, not the file's bytes.  A byte-copy whose corruption touched
+    only dataset payloads shares it (``hdf5.File(..., template=)``).
+    """
+    stat = os.stat(checkpoint_path)
+    return _parse_structure(os.path.abspath(checkpoint_path), stat.st_ino,
+                            stat.st_size, stat.st_mtime_ns)
+
+
+@functools.lru_cache(maxsize=8)
+def _parse_structure(path: str, inode: int, size: int,
+                     mtime_ns: int) -> hdf5.Structure:
+    with hdf5.File(path, "r") as handle:
+        return handle.structure
 
 
 def structural_findings_count(checkpoint_path: str) -> int:

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .. import telemetry
+from .. import hdf5, telemetry
 from ..analysis import group_records, render_curves
 from ..health import DEFAULT_TOLERANCE, classify_curve, last_finite
 from ..injector import CheckpointCorrupter, InjectorConfig
@@ -39,6 +39,7 @@ from .common import (
     ExperimentScale,
     ResumeOutcome,
     SessionSpec,
+    baseline_structure,
     corrupted_copy,
     get_scale,
     resume_training_batched,
@@ -96,8 +97,10 @@ def run_flip_trials(campaign: FlipCampaign,
 
     Each trial corrupts a private copy of its baseline checkpoint with the
     kind's injector recipe; all copies resume in one stacked training pass
-    (the payloads share a spec) and each is classified against its
-    reference curve."""
+    (the payloads share a spec, hence a baseline) and each is classified
+    against its reference curve.  A copy differs from its baseline only in
+    dataset payload bytes, so both its ``r+`` open and the resume load
+    borrow the baseline's structure, parsed once per process."""
     spec = spec_from_payload(payloads[0]["spec"])
     with tempfile.TemporaryDirectory() as workdir:
         paths, findings = [], []
@@ -113,15 +116,18 @@ def run_flip_trials(campaign: FlipCampaign,
                 config, engine=payload.get("engine", "vectorized"))
             # stamp the flip provenance events with the trial identity: a
             # chunk interleaves many trials' events in one process stream
-            with telemetry.tag_scope(trial_id=payload.get("trial_id")):
-                corrupter.corrupt()
+            with telemetry.tag_scope(trial_id=payload.get("trial_id")), \
+                    hdf5.File(path, "r+", template=baseline_structure(
+                        payload["checkpoint"])) as handle:
+                corrupter.corrupt_open_file(handle)
             paths.append(path)
             findings.append(structural_findings_count(path)
                             if payload.get("validate_checkpoints") else None)
         outcomes = resume_training_batched(
             spec, paths, epochs=campaign.resume_epochs(spec.scale),
             health_probe=any(p.get("health_probe") for p in payloads),
-            trial_ids=[p.get("trial_id") for p in payloads])
+            trial_ids=[p.get("trial_id") for p in payloads],
+            template=baseline_structure(payloads[0]["checkpoint"]))
     results = []
     for payload, outcome, found in zip(payloads, outcomes, findings):
         verdict = classify_curve(outcome.accuracy_curve,

@@ -96,7 +96,8 @@ class FrameworkFacade:
 
     def load_checkpoint(self, path: str, model: Model,
                         optimizer: Optimizer | None = None,
-                        template: "hdf5.File | None" = None) -> int:
+                        template: "hdf5.File | hdf5.Structure | None" = None
+                        ) -> int:
         """Restore *model* (and optimizer, when present) from HDF5.
 
         Returns the stored epoch number.  Loading performs **no** validity
@@ -104,9 +105,10 @@ class FrameworkFacade:
         into the model, exactly as a framework resuming from a silently
         corrupted checkpoint would.
 
-        *template* is an open :class:`repro.hdf5.File` structurally
-        byte-identical to *path* (sibling corrupted copies of one baseline);
-        it lets the reader skip re-parsing the checkpoint's metadata.  See
+        *template* is an open :class:`repro.hdf5.File`, or a parsed
+        :class:`repro.hdf5.Structure`, structurally byte-identical to
+        *path* (sibling corrupted copies of one baseline); it lets the
+        reader skip re-parsing the checkpoint's metadata.  See
         :class:`repro.hdf5.File`.
         """
         with hdf5.File(path, "r", template=template) as f:

@@ -19,7 +19,7 @@ Typical use::
         d.write_flat(7, corrupted_value)   # in-place bit surgery
 """
 
-from .file import AttributeManager, Dataset, File, Group
+from .file import AttributeManager, Dataset, File, Group, Structure
 from .validate import Finding, ValidationReport, validate_file
 from .reader import DatasetInfo, GroupInfo, iter_datasets, parse_file
 from .repack import RepackStats, decompress_checkpoint, repack
@@ -31,6 +31,7 @@ __all__ = [
     "DatasetInfo",
     "File",
     "Finding",
+    "Structure",
     "Group",
     "GroupInfo",
     "iter_datasets",

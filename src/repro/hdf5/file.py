@@ -22,6 +22,7 @@ from __future__ import annotations
 import mmap  # noqa: F401
 import os
 import time
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -328,7 +329,8 @@ class Group:
 
     def __init__(self, file: "File", name: str, staged: GroupNode | None,
                  info: GroupInfo | None):
-        self._file = file
+        if file is not self:  # a File is its own file (see File._file)
+            self._file = file
         self.name = name
         self._staged = staged
         self._info = info
@@ -452,18 +454,19 @@ class Group:
                 return result
         return None
 
-    def _walk(self) -> list[tuple[str, "Group | Dataset"]]:
-        out: list[tuple[str, Group | Dataset]] = []
-
-        def recurse(group: Group, prefix: str) -> None:
-            for name in group.keys():
-                child = group._child(name)
-                path = f"{prefix}/{name}" if prefix else name
-                out.append((path, child))
-                if isinstance(child, Group):
-                    recurse(child, path)
-
-        recurse(self, "")
+    def _walk(self, prefix: str = "",
+              out: list | None = None) -> list[tuple[str, "Group | Dataset"]]:
+        """``(relative path, object)`` of every descendant, depth-first by
+        name.  A method, not a self-referencing closure: that would be a
+        reference cycle holding every object walked, and through them the
+        file's buffer, until the cyclic collector ran."""
+        out = [] if out is None else out
+        for name in self.keys():
+            child = self._child(name)
+            path = f"{prefix}/{name}" if prefix else name
+            out.append((path, child))
+            if isinstance(child, Group):
+                child._walk(path, out)
         return out
 
     def datasets(self) -> list[Dataset]:
@@ -474,23 +477,36 @@ class Group:
         return f"<repro.hdf5 Group {self.name!r} ({len(self.keys())} members)>"
 
 
+@dataclass(frozen=True)
+class Structure:
+    """A file's parsed metadata tree and byte size, without its bytes.
+
+    What :class:`File`'s ``template=`` borrows; :attr:`File.structure`
+    hands it out, so a caller can keep it after the file is gone.
+    """
+
+    info: GroupInfo
+    nbytes: int
+
+
 class File(Group):
     """An open HDF5 file.  See module docstring for mode semantics.
 
-    *template* (read modes only) is another open :class:`File` whose
-    *structure* is byte-identical to this one — the situation a fault
-    campaign creates when it copies one baseline checkpoint N times and
-    flips bits in dataset payloads only.  Structure determines every
-    group/dataset offset, so the template's parsed metadata tree can be
-    borrowed instead of re-parsed; dataset *contents* still come from this
-    file's own bytes.  If the file sizes differ the template is ignored and
-    the file is parsed normally, but a same-sized file with genuinely
-    different structure would be misread — callers are responsible for the
-    provenance guarantee.
+    *template* (``"r"`` and ``"r+"``) is another open :class:`File`, or its
+    :attr:`structure`, whose *structure* is byte-identical to this one —
+    the situation a fault campaign creates when it copies one baseline
+    checkpoint N times and flips bits in dataset payloads only.  Structure
+    determines every group/dataset offset, so the template's parsed
+    metadata tree can be borrowed instead of re-parsed; dataset *contents*
+    still come from this file's own bytes, and in ``"r+"`` writes land at
+    the borrowed offsets.  If the file sizes differ the template is
+    ignored and the file is parsed normally, but a same-sized file with
+    genuinely different structure would be misread — callers are
+    responsible for the provenance guarantee.
     """
 
     def __init__(self, path: str | os.PathLike, mode: str = "r",
-                 template: "File | None" = None):
+                 template: "File | Structure | None" = None):
         self.filename = os.fspath(path)
         self.mode = mode
         self._closed = False
@@ -502,16 +518,19 @@ class File(Group):
                 super().__init__(self, "/", root, None)
                 self._buffer = None
             elif mode in ("r", "r+"):
+                if isinstance(template, File):
+                    template = template.structure
                 with open(self.filename, "rb") as handle:
-                    raw = handle.read()
-                self._nbytes = len(raw)
-                info = None
-                if (template is not None
-                        and template._info is not None
-                        and template._nbytes == len(raw)):
-                    info = template._info
+                    self._nbytes = os.fstat(handle.fileno()).st_size
+                    reused = (template is not None
+                              and template.nbytes == self._nbytes)
+                    # "r+" reaches the contents through its mapping, so it
+                    # reads the bytes only to parse them
+                    raw = None if reused and mode == "r+" else handle.read()
+                if reused:
+                    info = template.info
                     span.set(structure_reused=True)
-                if info is None:
+                else:
                     info = parse_file(raw)
                 super().__init__(self, "/", None, info)
                 if mode == "r+":
@@ -522,14 +541,27 @@ class File(Group):
                     self._buffer = np.memmap(self.filename, dtype=np.uint8,
                                              mode="r+")
                 else:
-                    self._buffer = bytearray(raw)
-                span.set(bytes=len(raw))
+                    self._buffer = raw
+                span.set(bytes=0 if raw is None else len(raw))
             else:
                 raise ValueError(f"unsupported mode: {mode!r}")
 
     @property
+    def _file(self) -> "File":
+        # not an attribute: a reference to itself would make every File a
+        # reference cycle, whose buffer only the cyclic collector frees
+        return self
+
+    @property
     def root(self) -> Group:
         return Group(self, "/", self._staged, self._info)
+
+    @property
+    def structure(self) -> Structure | None:
+        """This file's parsed :class:`Structure` (``None`` in ``"w"``)."""
+        if self._info is None:
+            return None
+        return Structure(self._info, self._nbytes)
 
     # -- byte-level access used by Dataset -----------------------------------
     def _read_bytes(self, offset: int, size: int) -> bytes:
@@ -540,13 +572,11 @@ class File(Group):
         return bytes(chunk)
 
     def _write_bytes(self, offset: int, data: bytes) -> None:
+        # only "r+" writes in place, and its buffer is the file's mapping
         telemetry.count("hdf5.bytes_written", len(data))
-        if isinstance(self._buffer, np.ndarray):
-            self._buffer[offset : offset + len(data)] = np.frombuffer(
-                data, dtype=np.uint8
-            )
-        else:
-            self._buffer[offset : offset + len(data)] = data
+        self._buffer[offset : offset + len(data)] = np.frombuffer(
+            data, dtype=np.uint8
+        )
 
     def _check_writable(self) -> None:
         if self.mode != "r+":

@@ -99,16 +99,15 @@ def expand_locations(
     is listed once, at its first appearance — duplicates would silently
     skew the uniform location draw toward it.
     """
+    return [dataset.name for dataset in _expand_datasets(handle, locations)]
+
+
+def _expand_datasets(handle: hdf5.File | hdf5.Group,
+                     locations: list[str] | None) -> list[hdf5.Dataset]:
+    """:func:`expand_locations` as dataset handles, each resolved once."""
     if not locations:
-        return [dataset.name for dataset in handle.datasets()]
-    expanded: list[str] = []
-    seen: set[str] = set()
-
-    def add(name: str) -> None:
-        if name not in seen:
-            seen.add(name)
-            expanded.append(name)
-
+        return handle.datasets()
+    expanded: dict[str, hdf5.Dataset] = {}
     for location in locations:
         try:
             obj = handle[location]
@@ -117,7 +116,7 @@ def expand_locations(
                 f"location not found in checkpoint: {location!r}"
             ) from None
         if isinstance(obj, hdf5.Dataset):
-            add(obj.name)
+            expanded.setdefault(obj.name, obj)
         else:
             below = obj.datasets()
             if not below:
@@ -125,8 +124,8 @@ def expand_locations(
                     f"location {location!r} contains no datasets"
                 )
             for dataset in below:
-                add(dataset.name)
-    return expanded
+                expanded.setdefault(dataset.name, dataset)
+    return list(expanded.values())
 
 
 def count_entries(handle: hdf5.File | hdf5.Group,
@@ -175,25 +174,20 @@ class CheckpointCorrupter:
 
     def _corrupt_open_file(self, handle: hdf5.File) -> CorruptionResult:
         config = self.config
-        if config.use_random_locations:
-            locations = expand_locations(handle, None)
-        else:
-            locations = expand_locations(handle, config.locations_to_corrupt)
-        locations = [
-            loc for loc in locations
-            if handle[loc].size > 0 and handle[loc].supports_inplace_writes
+        datasets = [
+            dataset for dataset in _expand_datasets(
+                handle, None if config.use_random_locations
+                else config.locations_to_corrupt)
+            if dataset.size > 0 and dataset.supports_inplace_writes
+            and (config.target_slice is None
+                 or (dataset.shape and config.target_slice < dataset.shape[0]))
         ]
-        if config.target_slice is not None:
-            locations = [
-                loc for loc in locations
-                if handle[loc].shape
-                and config.target_slice < handle[loc].shape[0]
-            ]
-        if not locations:
+        if not datasets:
             raise CorruptionError("no corruptible datasets in checkpoint")
 
-        attempts = resolve_attempts(config, count_entries(handle, locations))
-        datasets = [handle[loc] for loc in locations]
+        locations = [dataset.name for dataset in datasets]
+        attempts = resolve_attempts(
+            config, sum(dataset.size for dataset in datasets))
         targets = [dataset_target(dataset, config) for dataset in datasets]
         plan = sample_plan(self.rng, config, targets, attempts)
         records, counters = apply_plan(plan, DatasetStore(datasets),

@@ -12,12 +12,14 @@ every injector front end (checkpoint files, live models):
    element store by one of two engines.  The ``"scalar"`` engine walks the
    plan attempt by attempt through per-element reads and writes — the
    reference implementation.  The ``"vectorized"`` engine groups attempts
-   per dataset, applies whole batches through array views of the storage
-   (``hdf5.Dataset.view()`` / flattened model arrays), and falls back to
-   the ordinal-ordered scalar path only where batching cannot be exact:
-   integer flips (data-dependent draws), attempts sharing a flat index
-   (read-after-write chains), and NaN/extreme-guard offenders (retry
-   draws).
+   per dataset and applies them through array views of the storage
+   (``hdf5.Dataset.view()`` / flattened model arrays) in rounds: round *r*
+   takes each attempt that is the *r*-th on its flat index, so attempts
+   sharing an index (read-after-write chains) apply in order with no
+   index repeated within a round.  It falls back to the ordinal-ordered
+   scalar path only where batching cannot be exact: integer flips
+   (data-dependent draws) and NaN/extreme-guard offenders (retry draws),
+   together with the later attempts on an offender's index.
 
 Both engines consume apply-stage randomness in the same global attempt
 order, so for any seed they produce **bit-identical** files, logs, and
@@ -393,41 +395,20 @@ def _apply_vectorized(plan, store, rng):
     is_float = acc & (kinds[loc] == "f") & (precs[loc] > 0)
     counters.skipped_retries += int((acc & ~is_int & ~is_float).sum())
 
-    # Batch phase: per dataset, apply every unique-index float attempt in
-    # one gather/kernel/scatter; route the rest to the sequential queue.
+    # Batch phase: per dataset, apply the float attempts in rounds of
+    # unique flat indices; guard offenders go to the sequential queue.
     sequential: list[int] = np.flatnonzero(is_int).tolist()
     for t_idx in np.unique(loc[is_float]):
-        t_idx = int(t_idx)
-        target = targets[t_idx]
-        ordinals = np.flatnonzero(is_float & (loc == t_idx))
-        idx = plan.indices[ordinals]
-        uniq, counts = np.unique(idx, return_counts=True)
-        dup = np.isin(idx, uniq[counts > 1])
-        sequential.extend(ordinals[dup].tolist())
-        batch = ordinals[~dup]
-        if not len(batch):
-            continue
-        flat = store.flat(t_idx)
-        olds = flat[plan.indices[batch]]
-        news = _batch_candidates(olds, target.precision,
-                                 plan.draws[batch], config)
-        bad = _guard_violations(news, config)
-        sequential.extend(batch[bad].tolist())
-        good = batch[~bad]
-        if not len(good):
-            continue
-        flat[plan.indices[good]] = news[~bad]
-        counters.successes += len(good)
-        counters.nev_introduced += int(
-            bitops.is_nan_or_inf_array(news[~bad]).sum()
-        )
-        _fill_records(slots, good, plan, target, olds[~bad], news[~bad])
+        sequential.extend(_apply_rounds(
+            plan, store, int(t_idx), np.flatnonzero(is_float & (loc == t_idx)),
+            slots, counters))
 
     # Sequential phase, in global attempt order — the only consumer of
     # apply-stage RNG (integer widths, guard retries), so draw order
     # matches the scalar engine exactly.  Guard offenders re-evaluate
-    # their (deterministic) first try against the unchanged old value and
-    # fail it again without consuming randomness.
+    # their (deterministic) first try against the value the earlier rounds
+    # left and fail it again without consuming randomness; the later
+    # attempts on their index follow them in order.
     telemetry.count("inject.sequential_fallback",
                     len(sequential) - int(is_int.sum()))
     access = _FlatAccess(store)
@@ -589,6 +570,64 @@ def _batch_candidates(olds: np.ndarray, precision: int, draws: np.ndarray,
     if mode == "zero_value":
         return bitops.zero_array(len(olds), precision)
     raise CorruptionError(f"unknown corruption mode: {mode!r}")  # pragma: no cover
+
+
+def _apply_rounds(plan, store, t_idx: int, ordinals: np.ndarray, slots,
+                  counters) -> list[int]:
+    """Apply one target's float attempts (*ordinals*) in array rounds.
+
+    Round *r* holds every attempt that is the *r*-th, in attempt order, on
+    its flat index: one gather, kernel and scatter over indices unique
+    within the round, reading what the rounds before it wrote — the
+    scalar engine's read-after-write chain.  A guard offender leaves the
+    rounds, and so does every later attempt on its index; the returned
+    ordinals run sequentially, where the offender's retry draws happen in
+    global attempt order.
+    """
+    config = plan.config
+    target = plan.targets[t_idx]
+    idx = plan.indices[ordinals]
+    # each attempt's rank among the attempts on its index, in attempt
+    # order: its position in a stable sort by index, minus its group's
+    positions = np.arange(len(idx))
+    order = np.argsort(idx, kind="stable")
+    sorted_idx = idx[order]
+    starts = np.r_[True, sorted_idx[1:] != sorted_idx[:-1]]
+    ranks = np.empty_like(positions)
+    ranks[order] = positions - np.maximum.accumulate(
+        np.where(starts, positions, 0))
+    by_round = np.argsort(ranks, kind="stable")
+    bounds = np.cumsum(np.bincount(ranks))
+
+    flat = store.flat(t_idx)
+    diverted = np.zeros(len(idx), dtype=bool)
+    applied, olds, news = [], [], []
+    lo = 0
+    for rank, hi in enumerate(bounds.tolist()):
+        members = by_round[lo:hi]
+        lo = hi
+        if diverted.any():
+            members = members[~diverted[members]]
+        at = idx[members]
+        old = flat[at]
+        new = _batch_candidates(old, target.precision,
+                                plan.draws[ordinals[members]], config)
+        bad = _guard_violations(new, config)
+        if bad.any():
+            diverted |= np.isin(idx, at[bad]) & (ranks >= rank)
+            keep = ~bad
+            members, at, old, new = members[keep], at[keep], old[keep], \
+                new[keep]
+        flat[at] = new
+        applied.append(members)
+        olds.append(old)
+        news.append(new)
+    done = ordinals[np.concatenate(applied)]
+    news = np.concatenate(news)
+    counters.successes += len(done)
+    counters.nev_introduced += int(bitops.is_nan_or_inf_array(news).sum())
+    _fill_records(slots, done, plan, target, np.concatenate(olds), news)
+    return ordinals[diverted].tolist()
 
 
 def _guard_violations(news: np.ndarray, config) -> np.ndarray:

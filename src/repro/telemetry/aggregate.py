@@ -242,8 +242,13 @@ class CampaignTelemetry:
 
         The join walks the span tree (not just direct children), so a
         harness that wraps injection in intermediate spans still correlates.
+        A retried trial keeps one ``trial`` span across its attempts; only
+        its last attempt's spans count (:func:`final_attempt`), so its
+        flips are counted once.
         """
         children = self._descendants()
+        position = {span.get("span_id"): pos
+                    for pos, span in enumerate(self.spans)}
         out: list[TrialSummary] = []
         for span in self.spans:
             if span.get("name") != "trial":
@@ -259,10 +264,13 @@ class CampaignTelemetry:
                 worker=attrs.get("worker"),
                 attempts=attrs.get("attempts"),
             )
-            stack = list(children.get(summary.span_id, ()))
+            below, stack = [], list(children.get(summary.span_id, ()))
             while stack:
                 child = stack.pop()
+                below.append(child)
                 stack.extend(children.get(child.get("span_id", ""), ()))
+            below.sort(key=lambda child: position[child.get("span_id")])
+            for child in final_attempt(below):
                 cattrs = child.get("attrs", {})
                 if child.get("name") == "inject":
                     summary.flips = (summary.flips or 0) + int(

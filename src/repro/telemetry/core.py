@@ -134,7 +134,11 @@ class TraceContext:
 
 
 class Span:
-    """One timed operation; emitted to the sink on :meth:`finish`."""
+    """One timed operation; emitted to the sink on :meth:`finish`.
+
+    Ambient :func:`tag_scope` tags at creation are merged in under the
+    span's own attrs, as for events.
+    """
 
     __slots__ = ("name", "span_id", "parent_id", "attrs", "status",
                  "_start_wall", "_start_perf", "_token", "_finished")
@@ -143,7 +147,8 @@ class Span:
         self.name = name
         self.span_id = _new_span_id()
         self.parent_id = parent_id
-        self.attrs = attrs
+        tags = _tags.get()
+        self.attrs = {**tags, **attrs} if tags else attrs
         self.status = "ok"
         self._start_wall = time.time()
         self._start_perf = time.perf_counter()
@@ -434,7 +439,8 @@ def ambient(trace: dict | None):
 
 @contextlib.contextmanager
 def tag_scope(**tags):
-    """Stamp *tags* onto every event emitted inside the ``with`` block.
+    """Stamp *tags* onto every event and span emitted inside the ``with``
+    block (a span takes the tags ambient when it opens).
 
     The executing-side half of per-trial attribution: emitters deep in the
     stack (the injector's ``flips`` provenance, a probe's ``health``
@@ -445,11 +451,12 @@ def tag_scope(**tags):
     campaign runner wraps each chunk attempt in
     ``tag_scope(attempt_id=...)`` the same way, so a trial it runs again
     (a retry, a batched chunk's fallback) can be told from its earlier
-    attempts (:func:`repro.telemetry.final_attempt`).
+    attempts, its ``inject`` and ``train`` spans included
+    (:func:`repro.telemetry.final_attempt`).
 
     Scopes nest (inner tags shadow outer ones for the inner block);
-    ``None``-valued tags are dropped; explicit ``event()`` attrs always win
-    over ambient tags.  Contextvar-backed, so concurrent threads do not
+    ``None``-valued tags are dropped; explicit ``event()`` and ``span()``
+    attrs always win over ambient tags.  Contextvar-backed, so concurrent threads do not
     see each other's tags.
     """
     cleaned = {key: value for key, value in tags.items() if value is not None}

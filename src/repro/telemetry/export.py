@@ -21,7 +21,8 @@ _HELP = {
     "inject.bytes_touched": "Checkpoint bytes rewritten by applied flips.",
     "inject.guard_retries": "Corruption retries forced by NaN/extreme guards.",
     "inject.sequential_fallback":
-        "Float attempts routed to the sequential apply path.",
+        "Float attempts routed to the sequential apply path: guard "
+        "offenders and the later attempts on their index.",
     "hdf5.bytes_read": "Bytes read through repro.hdf5 datasets.",
     "hdf5.bytes_written": "Bytes written through repro.hdf5 datasets.",
     "hdf5.read_seconds": "Dataset read latency.",

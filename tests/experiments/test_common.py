@@ -6,15 +6,20 @@ import numpy as np
 import pytest
 
 from repro import hdf5
+from repro.data import synthetic_cifar10
 from repro.experiments.common import (
     BaselineCache,
     SCALES,
     SessionSpec,
+    baseline_structure,
     corrupted_copy,
     get_scale,
+    make_dataset,
     resume_training,
     weights_root,
 )
+from repro.frameworks import set_global_determinism
+from repro.nn import rng
 
 
 @pytest.fixture(scope="module")
@@ -162,3 +167,66 @@ class TestResumeHealthProbe:
         probed = resume_training(spec, baseline.checkpoint_path, epochs=2,
                                  health_probe=True)
         assert plain.accuracy_curve == probed.accuracy_curve
+
+
+class TestProcessMemos:
+    """A process builds each dataset and parses each baseline's structure
+    once; what it hands out must equal a fresh build or parse."""
+
+    def test_make_dataset_equals_a_fresh_read_only_build(self, spec):
+        saved = rng.current_seed()
+        try:
+            set_global_determinism(spec.framework, spec.seed)
+            train, test = make_dataset(spec)
+            fresh = synthetic_cifar10(
+                train_size=spec.scale.train_size,
+                test_size=spec.scale.test_size,
+                image_size=spec.scale.model_image_size(spec.model))
+            for got, want in zip((train, test), fresh):
+                np.testing.assert_array_equal(got.images, want.images)
+                np.testing.assert_array_equal(got.labels, want.labels)
+                for array in (got.images, got.labels):
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[0] = 0
+            again, _ = make_dataset(spec)
+            assert again is not train and again.images is train.images
+            set_global_determinism(spec.framework, spec.seed + 1)
+            other, _ = make_dataset(spec)
+            assert not np.array_equal(other.images, train.images)
+        finally:
+            rng.seed_all(saved)
+
+    def test_rewritten_baseline_is_parsed_again(self, tmp_path):
+        path = str(tmp_path / "ckpt.h5")
+
+        def write(epoch: int) -> None:
+            with hdf5.File(path, "w") as f:
+                f.attrs["epoch"] = epoch
+                f.create_dataset("w", data=np.arange(4, dtype=np.float32))
+
+        write(1)
+        first = baseline_structure(path)
+        assert baseline_structure(path) is first
+        size = os.path.getsize(path)
+        write(2)  # same size and inode, new metadata
+        assert os.path.getsize(path) == size
+        # a clock too coarse to tell the two writes apart would hide the
+        # rewrite; move the mtime on explicitly
+        stat = os.stat(path)
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+        second = baseline_structure(path)
+        assert second is not first
+        with hdf5.File(path, "r", template=second) as f:
+            assert f._info is second.info
+            assert f.attrs["epoch"] == 2
+
+    def test_copy_of_another_size_ignores_the_structure(self, baseline,
+                                                        tmp_path):
+        structure = baseline_structure(baseline.checkpoint_path)
+        other = str(tmp_path / "other.h5")
+        with hdf5.File(other, "w") as f:
+            f.create_dataset("w", data=np.ones(3))
+        with hdf5.File(other, "r+", template=structure) as f:
+            assert f._info is not structure.info
+            assert list(f.keys()) == ["w"]
+            np.testing.assert_array_equal(f["w"][...], np.ones(3))

@@ -9,6 +9,7 @@ emits, and the whole-program fork analysis finds every trial body.
 
 from __future__ import annotations
 
+import json
 import math
 import pathlib
 
@@ -17,6 +18,7 @@ import pytest
 from repro import telemetry
 from repro.analysis import propagation_report
 from repro.atlas import AtlasIngester, AtlasStore
+from repro.experiments import common
 from repro.experiments import fig3_bitflip_rates as fig3
 from repro.experiments import run_experiment
 from repro.experiments.common import (
@@ -160,6 +162,29 @@ def test_stacked_chunk_emits_one_epoch_event_per_trial(cache, tmp_path):
         task.trial_id for task in tasks for _ in range(SMOKE.resume_epochs))
 
 
+def test_in_process_trials_match_fresh_processes(cache):
+    """Trials of one baseline in one process share its parsed structure
+    and its dataset (built once per process); their outcomes equal those
+    of fresh processes, one per trial, that build both themselves."""
+    tasks, _ = fig3.build_tasks(SMOKE, 42, [("chainer_like", "alexnet")],
+                                (10,), 2, cache)
+    outcomes = {}
+    for workers in (1, 2):
+        # the pool forks its workers from this state: empty memos
+        common._parse_structure.cache_clear()
+        common._dataset.cache_clear()
+        result = run_campaign(tasks, workers=workers)
+        outcomes[workers] = sorted(
+            json.dumps([r["trial_id"], r["status"], r["outcome"],
+                        r["outcome_class"]], sort_keys=True)
+            for r in result.record_dicts())
+        if workers == 1:
+            assert common._parse_structure.cache_info().misses == 1
+            assert common._dataset.cache_info().misses == 1
+    assert outcomes[1] == outcomes[2]
+    assert all('"ok"' in line for line in outcomes[1])
+
+
 def test_every_flip_kind_keeps_decorated_fork_entries():
     """``fork-reach`` finds trial bodies only through the ``@trial_kind`` /
     ``@batch_trial_kind`` decorators, so each flip kind must keep both —
@@ -228,3 +253,16 @@ class TestRerunTrialProvenance:
         rows, events = self._run(cache, tmp_path, monkeypatch,
                                  batch_trials=2)
         self._assert_one_flip_per_trial(rows, events)
+
+    def test_telemetry_report_counts_the_last_attempt(self, cache, tmp_path,
+                                                      monkeypatch):
+        """The ``telemetry`` report's per-trial columns: a retried trial
+        keeps one ``trial`` span over both attempts, yet reports its last
+        attempt's one flip and its final accuracy."""
+        _, events = self._run(cache, tmp_path, monkeypatch)
+        trials = telemetry.CampaignTelemetry(events).trials()
+        assert sorted(t.attempts for t in trials) == [1, 2]
+        for trial in trials:
+            assert trial.flips == 1, trial
+            assert trial.nev_introduced == 0, trial
+            assert isinstance(trial.final_accuracy, float), trial

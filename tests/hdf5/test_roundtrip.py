@@ -1,5 +1,8 @@
 """Round-trip tests for the HDF5 subset: write with 'w', read with 'r'."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -178,3 +181,28 @@ def test_fortran_order_input_stored_c_contiguous(path):
         f.create_dataset("x", data=data)
     with hdf5.File(path, "r") as f:
         np.testing.assert_array_equal(f["x"].read(), data)
+
+
+@pytest.mark.parametrize("mode", ["r", "r+"])
+def test_file_is_freed_without_the_cyclic_collector(path, mode):
+    """An open file, and the groups and datasets a walk hands out, hold no
+    reference cycle: the file's buffer goes with its last reference, not
+    at the cyclic collector's next pass."""
+    with hdf5.File(path, "w") as f:
+        f.create_dataset("model/conv/W", data=np.ones((2, 3)))
+        f.create_dataset("model/b", data=np.zeros(3))
+    gc.disable()
+    try:
+        f = hdf5.File(path, mode)
+        assert [d.name for d in f.datasets()] == ["/model/b",
+                                                  "/model/conv/W"]
+        f.visititems(lambda name, obj: None)
+        dataset = f["model/b"]
+        ref = weakref.ref(f)
+        del f
+        assert ref() is not None  # the dataset still reads through it
+        np.testing.assert_array_equal(dataset[...], np.zeros(3))
+        del dataset
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -8,6 +8,7 @@ summary counter — across all corruption modes, precisions, probability
 skips, guard retries, duplicate-prone tiny datasets, and integer datasets.
 """
 
+import itertools
 import os
 import tempfile
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import hdf5
+from repro import hdf5, telemetry
 from repro.injector import (
     CheckpointCorrupter,
     CorruptionError,
@@ -27,10 +28,14 @@ from repro.injector import (
 
 MODES = ["bit_range", "bit_mask", "scaling_factor", "stuck_at", "zero_value"]
 
+#: 3-element datasets, one per float width, small enough to force
+#: duplicate index draws
+TINY = {16: "tiny16", 32: "tiny", 64: "tiny64"}
+
 
 def make_checkpoint(path: str, seed: int = 7) -> None:
-    """Mixed-precision layout: fp16/32/64, an integer counter, and a
-    3-element dataset small enough to force duplicate index draws."""
+    """Mixed-precision layout: fp16/32/64, an integer counter, and
+    3-element datasets small enough to force duplicate index draws."""
     gen = np.random.default_rng(seed)
     with hdf5.File(path, "w") as f:
         f.create_dataset("w16", data=gen.standard_normal((4, 5))
@@ -40,6 +45,9 @@ def make_checkpoint(path: str, seed: int = 7) -> None:
         f.create_dataset("deep/w64", data=gen.standard_normal((2, 3, 4)))
         f.create_dataset("tiny", data=gen.standard_normal(3)
                          .astype(np.float32))
+        f.create_dataset("tiny16", data=gen.standard_normal(3)
+                         .astype(np.float16))
+        f.create_dataset("tiny64", data=gen.standard_normal(3))
         f.create_dataset("step", data=np.arange(6, dtype=np.int32))
 
 
@@ -53,16 +61,26 @@ def run_engine(workdir: str, engine: str, **config_kwargs):
     return result, payload
 
 
-def assert_engines_identical(**config_kwargs):
+def assert_engines_identical(**config_kwargs) -> int:
+    """Run both engines; return the vectorized run's
+    ``inject.sequential_fallback`` count."""
+    sink = telemetry.InMemorySink()
     with tempfile.TemporaryDirectory() as workdir:
         scalar, scalar_bytes = run_engine(workdir, "scalar", **config_kwargs)
-        vector, vector_bytes = run_engine(workdir, "vectorized",
-                                          **config_kwargs)
+        telemetry.configure(sink)
+        try:
+            vector, vector_bytes = run_engine(workdir, "vectorized",
+                                              **config_kwargs)
+        finally:
+            telemetry.shutdown()
     assert scalar_bytes == vector_bytes
     # repr-compare: exact for floats, and NaN == NaN textually
     assert list(map(repr, scalar.log.records)) == \
         list(map(repr, vector.log.records))
     assert scalar.to_dict() == vector.to_dict()
+    merged = telemetry.merge_metrics(sink.events)
+    # an empty plan applies nothing and counts nothing
+    return merged.get("inject.sequential_fallback", {}).get("value", 0)
 
 
 class TestEveryMode:
@@ -97,11 +115,25 @@ class TestEveryMode:
         )
 
     def test_restricted_locations_hit_tiny_duplicates(self):
-        """All draws inside a 3-element dataset: duplicate-index chains."""
-        assert_engines_identical(
-            corruption_mode="bit_range", injection_attempts=30, seed=2,
-            locations_to_corrupt=["tiny"], use_random_locations=False,
-        )
+        """All draws inside a 3-element dataset: duplicate-index chains
+        hundreds of attempts long, in every mode and precision.
+        Guard-free, the vectorized engine applies them in array rounds,
+        none sequentially; guarded (NaN retry from the exponent MSB on,
+        plus an extreme guard), offenders fire mid-chain and their chains
+        finish sequentially."""
+        for mode, precision, guarded in itertools.product(
+                MODES, sorted(TINY), (False, True)):
+            guards = dict(allow_NaN_values=False, first_bit=1,
+                          extreme_guard=1e3) if guarded else {}
+            fallback = assert_engines_identical(
+                corruption_mode=mode, injection_attempts=1000, seed=2,
+                float_precision=precision,
+                locations_to_corrupt=[TINY[precision]],
+                use_random_locations=False, bit_mask="101",
+                scaling_factor=3.0, stuck_bit=1, **guards,
+            )
+            assert (fallback > 0) == (guarded and mode != "zero_value"), \
+                (mode, precision, guarded, fallback)
 
     def test_strict_mismatch_raises_before_mutation(self):
         with tempfile.TemporaryDirectory() as workdir:

@@ -184,6 +184,19 @@ class TestTagScope:
         assert event["attrs"]["trial_id"] == "fig3/7"
         assert event["attrs"]["location"] == "a/W"
 
+    def test_tags_ride_along_on_spans_opened_in_scope(self):
+        sink = telemetry.InMemorySink()
+        telemetry.configure(sink)
+        outer = telemetry.start_span("trial")
+        with telemetry.tag_scope(attempt_id="a.1", trial_id="fig3/7"):
+            with telemetry.span("inject", trial_id="explicit"):
+                pass
+        outer.finish()
+        inject, trial = sink.spans()
+        assert inject["attrs"] == {"attempt_id": "a.1",
+                                   "trial_id": "explicit"}
+        assert trial["attrs"] == {}
+
     def test_scope_is_bounded(self):
         sink = telemetry.InMemorySink()
         telemetry.configure(sink)
