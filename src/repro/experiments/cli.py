@@ -29,6 +29,7 @@ from ..atlas.cli import add_atlas_arguments, atlas_command
 from ..serve.spec import CampaignSpec
 from .common import SCALES
 from .registry import CAMPAIGN_EXPERIMENTS, EXPERIMENTS, run_experiment
+from .runner import BATCH_TIMEOUT_CONFLICT
 from .watch import (
     add_fleet_arguments,
     add_watch_arguments,
@@ -419,8 +420,7 @@ def main(argv: list[str] | None = None) -> int:
         print("--workers must be at least 1", file=sys.stderr)
         return 2
     if args.batch_trials > 1 and args.trial_timeout is not None:
-        print("--batch-trials is incompatible with --trial-timeout "
-              "(timeouts need process-per-trial isolation)", file=sys.stderr)
+        print(BATCH_TIMEOUT_CONFLICT, file=sys.stderr)
         return 2
     # every spec is built, and so validated, before any experiment starts
     try:

@@ -7,8 +7,9 @@ turns a harness's trial list into a *campaign*:
 * the plan is cut once into *chunks* — a chunk of one per trial, or under
   ``batch_trials > 1`` up to that many same-group trials sharing one
   training pass (:mod:`repro.batched`) — and one scheduling policy runs
-  them all, in process (``workers=1``, no timeout) or one fork per chunk
-  attempt over a pool of ``workers``; results are bit-identical either
+  them all, in process (``workers=1``, no timeout) or on a pool of
+  ``workers`` long-lived forked processes, each reused while its attempts
+  succeed and replaced after one fails; results are bit-identical either
   way because every trial is a pure function of its payload;
 * every terminal outcome is appended to a JSONL *journal* — an append-only
   record of (trial id, kind, payload, outcome, status, attempts, duration,
@@ -29,10 +30,12 @@ one ordinary record per trial.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import logging
 import os
+import signal
 import time
 import traceback
 from dataclasses import asdict, dataclass, field
@@ -273,6 +276,13 @@ class CampaignResult:
         return [asdict(r) for r in self.records]
 
 
+#: Why ``batch_trials > 1`` excludes a ``trial_timeout``: ``run_campaign``,
+#: ``CampaignSpec`` and the CLI reject the pair with this one message.
+BATCH_TIMEOUT_CONFLICT = ("batch_trials > 1 (--batch-trials) is incompatible "
+                          "with trial_timeout (--trial-timeout): a deadline "
+                          "covers one trial, not a chunk")
+
+
 def run_campaign(tasks: Iterable[TrialTask], *, workers: int = 1,
                  journal: str | Journal | None = None, resume: bool = False,
                  trial_timeout: float | None = None,
@@ -283,9 +293,9 @@ def run_campaign(tasks: Iterable[TrialTask], *, workers: int = 1,
     ----------
     workers:
         ``1`` runs chunks one after another in-process (unless a timeout is
-        set, which needs subprocess isolation); ``>1`` forks one process
-        per chunk attempt, that many at a time, the BLAS threads split
-        among them.
+        set, which needs a process to kill); ``>1`` runs them on a pool of
+        that many long-lived forked workers, the BLAS threads split among
+        them.
     journal:
         JSONL path (or :class:`Journal`).  When given, every terminal record
         is appended as it happens.
@@ -300,16 +310,14 @@ def run_campaign(tasks: Iterable[TrialTask], *, workers: int = 1,
     batch_trials:
         ``> 1`` runs chunks of that many batchable trials (same kind, same
         :func:`batch_trial_kind` group key) through the kind's batched
-        executor, in process or forked, one journal record per trial as
-        usual.  Incompatible with ``trial_timeout``: a deadline covers one
+        executor, in process or on the pool, one journal record per trial
+        as usual.  Incompatible with ``trial_timeout``: a deadline covers one
         trial, not a chunk.
     """
     tasks = list(tasks)
     workers = max(1, workers)
     if batch_trials > 1 and trial_timeout is not None:
-        raise ValueError(
-            "batch_trials > 1 is incompatible with trial_timeout "
-            "(timeouts need process-per-trial isolation)")
+        raise ValueError(BATCH_TIMEOUT_CONFLICT)
     seen: set[str] = set()
     for task in tasks:
         if task.trial_id in seen:
@@ -565,100 +573,143 @@ def _run_in_process(policy: _Policy) -> None:
         policy.settle(chunk, outcomes, error)
 
 
-def _child_main(conn, kind: str, payloads: list[dict], batched: bool,
-                trace: dict, attempt_id: str) -> None:
-    """Worker entry point: run one chunk attempt, ship the outcomes over
-    the pipe."""
+def _worker_main(conn, inherited: list) -> None:
+    """Pool worker entry point: run chunk attempts until told to stop.
+
+    Each job is one chunk attempt (:func:`_attempt`'s arguments, the
+    chunk span's context and the ``attempt_id`` among them) and ``None``
+    ends the loop.  The reply is ``("ok", outcomes)`` or ``("error",
+    traceback)``.  A worker outlives only attempts that returned outcomes:
+    after a failed one it exits, so a retry never runs in the process that
+    failed.  Once the campaign parent is gone it exits quietly.
+    """
+    # the fork copied the parent's end of this worker's pipe and of each
+    # live sibling's; a worker sees EOF when the parent dies only if no
+    # other process holds its pipe's parent end
+    for end in inherited:
+        end.close()
+    # Ctrl-C reaches the whole process group; the parent stops the pool
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        conn.send(("ok", _attempt(kind, payloads, batched, trace,
-                                  attempt_id)))
-    except BaseException:
-        try:
-            conn.send(("error", traceback.format_exc(limit=8)))
-        except Exception:
-            pass
-    finally:
-        telemetry.flush_metrics()  # worker counters join the merged stream
-        conn.close()
+        while (job := conn.recv()) is not None:
+            try:
+                conn.send(("ok", _attempt(*job)))
+            except Exception:
+                conn.send(("error", traceback.format_exc(limit=8)))
+                return
+            finally:
+                # worker counters join the merged stream: each snapshot is
+                # cumulative per pid, so the worker's last one counts
+                telemetry.flush_metrics()
+    except (EOFError, BrokenPipeError, ConnectionResetError):
+        pass  # the campaign parent is gone
 
 
 @dataclass
-class _InFlight:
-    chunk: _Chunk
+class _Worker:
+    """A live pool worker and the chunk attempt it runs, if any."""
+
     process: object
     conn: object
-    slot: int
-    deadline: float | None
+    chunk: _Chunk | None = None
+
+
+def _fork_worker(ctx, pool: list[_Worker | None]) -> _Worker:
+    conn, worker_end = ctx.Pipe()
+    inherited = [conn] + [worker.conn for worker in pool if worker]
+    process = ctx.Process(target=_worker_main, args=(worker_end, inherited))
+    process.start()
+    worker_end.close()
+    return _Worker(process, conn)
 
 
 def _run_forked(policy: _Policy, workers: int,
                 trial_timeout: float | None) -> None:
-    """One fork per chunk attempt, at most *workers* at a time.
+    """Run the chunk attempts on a pool of at most *workers* processes.
 
-    Forking keeps attempts fully isolated (a segfault or hang kills the
-    child, never the campaign) and makes timeout enforcement a simple
-    ``terminate()``.  The caller holds :func:`repro.nn.blas.thread_budget`
-    across this call, so every child inherits its share of the CPUs.
+    A slot forks its worker when it first has work and keeps it while its
+    attempts succeed.  A worker whose attempt failed (it raised, crashed,
+    or ran past ``chunk.started + trial_timeout`` and was killed) is
+    joined, and its slot forks a fresh one: a retry never runs in the
+    process that failed, and a hang or segfault costs one worker, never
+    the campaign.  No worker outlives this call, whatever it raises.  The
+    caller holds :func:`repro.nn.blas.thread_budget` across it, so every
+    worker inherits its share of the CPUs.
     """
     ctx = get_context("fork")
-    inflight: list[_InFlight] = []
-    free_slots = list(range(workers - 1, -1, -1))
+    pool: list[_Worker | None] = [None] * workers
     pool_start = time.monotonic()
     busy_seconds = 0.0  # summed attempt wall-time, for worker utilization
+    try:
+        while True:
+            for slot in range(workers):
+                if pool[slot] and pool[slot].chunk is not None:
+                    continue
+                if (chunk := policy.take()) is None:
+                    break
+                worker = pool[slot] = pool[slot] or _fork_worker(ctx, pool)
+                worker.chunk = chunk
+                # one that died idle reads EOF below: settled as a crash
+                with contextlib.suppress(OSError):
+                    worker.conn.send(chunk.attempt_args())
 
-    while policy.pending or inflight:
-        while free_slots and (chunk := policy.take()) is not None:
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_child_main,
-                               args=(child_conn, *chunk.attempt_args()))
-            proc.start()
-            child_conn.close()
-            inflight.append(_InFlight(
-                chunk=chunk, process=proc, conn=parent_conn,
-                slot=free_slots.pop(),
-                deadline=(None if trial_timeout is None
-                          else chunk.started + trial_timeout),
-            ))
-
-        ready = connection.wait([f.conn for f in inflight], timeout=0.05)
-        now = time.monotonic()
-        still: list[_InFlight] = []
-        for flight in inflight:
-            outcomes, timed_out = None, False
-            # a child may exit between connection.wait and this check with
-            # its result still buffered in the pipe — poll before trusting
-            # the exit code, or a completed chunk gets retried as crashed.
-            if flight.conn in ready or flight.conn.poll(0):
-                try:
-                    status, value = flight.conn.recv()
-                except (EOFError, OSError):
-                    # child died without reporting (crash / os._exit)
-                    status, value = "error", "worker died without a result"
+            busy = [w for w in pool if w and w.chunk is not None]
+            if not busy:
+                break
+            ready = connection.wait([w.conn for w in busy], timeout=0.05)
+            now = time.monotonic()
+            for slot, worker in enumerate(pool):
+                if not worker or worker.chunk is None:
+                    continue
+                chunk, outcomes, timed_out = worker.chunk, None, False
+                # a worker may exit between connection.wait and this check
+                # with its reply still buffered in the pipe: poll before
+                # trusting the exit code, or a completed chunk gets retried
+                # as crashed
+                if worker.conn in ready or worker.conn.poll(0):
+                    try:
+                        status, value = worker.conn.recv()
+                    except (EOFError, OSError):
+                        telemetry.count("runner.worker_crashes")
+                        status, value = "error", "worker died without a result"
+                    outcomes, error = (value, None) if status == "ok" \
+                        else (None, value)
+                elif worker.process.exitcode is not None:
                     telemetry.count("runner.worker_crashes")
-                flight.process.join()
-                outcomes, error = (value, None) if status == "ok" \
-                    else (None, value)
-            elif flight.process.exitcode is not None:
-                # exited without sending anything
-                telemetry.count("runner.worker_crashes")
-                error = (f"worker exited with code {flight.process.exitcode}"
-                         " before reporting a result")
-            elif flight.deadline is not None and now > flight.deadline:
-                flight.process.terminate()
-                flight.process.join()
-                telemetry.count("runner.timeouts")
-                timed_out = True
-                error = (f"trial timed out after "
-                         f"{now - flight.chunk.started:.1f}s")
-            else:
-                still.append(flight)
-                continue
-            flight.conn.close()
-            busy_seconds += now - flight.chunk.started
-            free_slots.append(flight.slot)
-            policy.settle(flight.chunk, outcomes, error, timed_out=timed_out,
-                          worker=flight.slot)
-        inflight = still
+                    error = (f"worker exited with code "
+                             f"{worker.process.exitcode} before reporting "
+                             "a result")
+                elif trial_timeout is not None and \
+                        now > chunk.started + trial_timeout:
+                    worker.process.terminate()
+                    telemetry.count("runner.timeouts")
+                    timed_out = True
+                    error = (f"trial timed out after "
+                             f"{now - chunk.started:.1f}s")
+                else:
+                    continue
+                worker.chunk = None
+                busy_seconds += now - chunk.started
+                if outcomes is None:
+                    # crashed, killed, or exiting after its error reply
+                    worker.process.join()
+                    worker.conn.close()
+                    pool[slot] = None
+                policy.settle(chunk, outcomes, error, timed_out=timed_out,
+                              worker=slot)
+    except BaseException:
+        # a journal error or an interrupt: no worker outlives the campaign
+        for worker in filter(None, pool):
+            worker.process.terminate()
+        raise
+    else:
+        for worker in filter(None, pool):
+            with contextlib.suppress(OSError):
+                worker.conn.send(None)
+    finally:
+        for worker in filter(None, pool):
+            worker.process.join()
+            worker.conn.close()
 
     elapsed = time.monotonic() - pool_start
     if elapsed > 0:

@@ -194,10 +194,11 @@ class CampaignWatch:
 
         now = time.monotonic()
         wall = time.time()
-        # the pool forks one short-lived process per chunk attempt, so raw
-        # pid counting over-reports massively; trial spans carry the pool
-        # slot (`worker`), which is bounded by the worker count.  Before
-        # the first trial closes, fall back to recently-writing pids.
+        # a pool replaces its worker after every failed attempt, and each
+        # campaign forks a pool of its own, so raw pid counting
+        # over-reports; trial spans carry the pool slot (`worker`), which
+        # is bounded by the worker count.  Before the first trial closes,
+        # fall back to recently-writing pids.
         active = set()
         fallback = set()
         for event in self._events:

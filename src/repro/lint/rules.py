@@ -190,9 +190,10 @@ def _is_constant_name(name: str) -> bool:
     description="no locks, open files, or mutable state at import time "
                 "in fork-boundary modules",
     rationale=(
-        "the campaign runner forks one process per chunk attempt; "
-        "a module-level lock forks in an arbitrary held/released state, an "
-        "open hdf5.File handle aliases one memmap from every worker, and "
+        "the campaign runner forks a pool of workers that each run many "
+        "chunk attempts; a module-level lock forks in an arbitrary "
+        "held/released state, an open hdf5.File handle aliases one memmap "
+        "from every worker, and "
         "lowercase module-level mutable state invites cross-fork mutation "
         "that the parent never sees (UPPER_CASE import-time registries "
         "like TRIAL_KINDS are write-once and fine)"

@@ -1,13 +1,13 @@
 """Whole-program rule: fork-reachability safety.
 
-The campaign runner forks one process per chunk attempt
-(``ctx.Process(target=_child_main)``), and the scheduler forks shard
-workers the same way.  The per-file ``fork-safety`` rule polices what the
-*experiments modules* create at import time; this rule polices what the
-*workers can reach*: starting from every fork entry point — resolved
-``Process(target=...)`` functions plus ``@trial_kind`` /
-``@batch_trial_kind`` registered trial bodies — it walks the resolved
-call graph and flags, anywhere in the closure:
+The campaign runner forks a pool of long-lived workers that each run
+chunk attempts in a loop (``ctx.Process(target=_worker_main)``), and the
+scheduler forks shard workers the same way.  The per-file
+``fork-safety`` rule polices what the *experiments modules* create at
+import time; this rule polices what the *workers can reach*: starting
+from every fork entry point — resolved ``Process(target=...)`` functions
+plus ``@trial_kind`` / ``@batch_trial_kind`` registered trial bodies — it
+walks the resolved call graph and flags, anywhere in the closure:
 
 * acquisition of a module-level lock (forked in an undefined held state:
   if the parent held it at fork time, the child deadlocks forever);

@@ -157,9 +157,8 @@ class CampaignSpec:
         if self.trial_timeout is not None and not self.trial_timeout > 0:
             raise ValueError("trial_timeout must be positive when set")
         if self.batch_trials > 1 and self.trial_timeout is not None:
-            raise ValueError(
-                "batch_trials > 1 is incompatible with trial_timeout "
-                "(timeouts need process-per-trial isolation)")
+            from ..experiments.runner import BATCH_TIMEOUT_CONFLICT
+            raise ValueError(BATCH_TIMEOUT_CONFLICT)
         if not isinstance(self.retries, int) or self.retries < 0:
             raise ValueError("retries must be a non-negative integer")
         if not isinstance(self.priority, int) or isinstance(self.priority,

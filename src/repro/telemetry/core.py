@@ -249,6 +249,9 @@ class Pipeline:
     def flush_metrics(self) -> None:
         for event in self.registry.metric_events():
             self.emit(event)
+        # a buffered sink (a trace_scope tee) writes out with the snapshot:
+        # a forked campaign worker never closes the sink it inherited
+        self.sink.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +512,7 @@ def observe(name: str, value: float,
 
 
 def flush_metrics() -> None:
-    """Emit the current metrics snapshot (idempotent; see metrics module)."""
+    """Emit the current metrics snapshot (idempotent; see metrics module)
+    and write out any events the sink buffers."""
     if _pipeline is not None:
         _pipeline.flush_metrics()

@@ -24,10 +24,14 @@ import os
 
 
 class Sink:
-    """Interface: ``emit`` one event dict; ``close`` releases resources."""
+    """Interface: ``emit`` one event dict; ``flush`` writes out anything
+    buffered; ``close`` releases resources."""
 
     def emit(self, event: dict) -> None:  # pragma: no cover - interface
         raise NotImplementedError
+
+    def flush(self) -> None:
+        pass
 
     def close(self) -> None:
         pass
@@ -74,6 +78,10 @@ class FanoutSink(Sink):
     def emit(self, event: dict) -> None:
         for sink in self.sinks:
             sink.emit(event)
+
+    def flush(self) -> None:
+        for sink in self.sinks:
+            sink.flush()
 
     def close(self) -> None:
         for sink in self._own:

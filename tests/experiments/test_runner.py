@@ -1,6 +1,7 @@
 """Unit tests for the campaign engine: journal round-trips (property-based),
 timeout/retry/crash handling, and resume-from-journal semantics."""
 
+import contextlib
 import json
 import math
 import os
@@ -72,6 +73,25 @@ def _flaky(payload):
 def _slow_echo(payload):
     time.sleep(payload.get("delay", 0.2))
     return {"value": payload["value"]}
+
+
+@trial_kind("test_pid")
+def _pid(payload):
+    """Reports the pid it ran in.  With ``fail``, its first call (no
+    ``marker`` file yet) leaves its pid in the marker and then fails as the
+    ``test_crash``, ``test_hang`` or ``test_raise`` body does."""
+    time.sleep(payload.get("delay", 0.0))
+    fail = payload.get("fail")
+    if fail is not None and not os.path.exists(payload["marker"]):
+        with open(payload["marker"], "w") as handle:
+            handle.write(str(os.getpid()))
+        get_trial_kind(f"test_{fail}")(payload)
+    return {"pid": os.getpid()}
+
+
+def pid_tasks(n, **payload):
+    return [TrialTask(trial_id=f"pid/{i}", kind="test_pid", payload=payload)
+            for i in range(n)]
 
 
 def echo_tasks(n, marker=None):
@@ -364,6 +384,110 @@ def test_timeout_with_single_worker_uses_subprocess_isolation():
     assert time.monotonic() - start < 30
     assert result.records[0].status == "failed"
     assert result.records[0].timed_out
+
+
+# ---------------------------------------------------------------------------
+# Worker pool lifecycle
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def alive_after_fork(monkeypatch):
+    """How many child processes are alive right after each fork."""
+    counts = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counting_start(process):
+        start(process)
+        counts.append(len(multiprocessing.active_children()))
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        counting_start)
+    return counts
+
+
+def test_pool_forks_each_worker_once(alive_after_fork):
+    result = run_campaign(pid_tasks(8), workers=2)
+    pids = {r.outcome["pid"] for r in result.records}
+    assert len(pids) <= 2
+    assert os.getpid() not in pids
+    assert len(alive_after_fork) == len(pids)
+
+
+@pytest.mark.parametrize("fail", ["crash", "hang", "raise"])
+def test_failed_worker_is_replaced_not_reused(tmp_path, alive_after_fork,
+                                              fail):
+    marker = str(tmp_path / "failed_pid")
+    tasks = pid_tasks(6)
+    tasks[3] = TrialTask("failing", "test_pid",
+                         {"fail": fail, "marker": marker, "seconds": 60})
+    result = run_campaign(tasks, workers=2, trial_timeout=2.0, retries=1)
+    retried = result.outcomes_by_id()["failing"]
+    assert retried.ok and retried.attempts == 2
+    assert retried.timed_out == (fail == "hang")
+    with open(marker) as handle:
+        failed_pid = int(handle.read())
+    assert retried.outcome["pid"] != failed_pid
+    assert all(record.ok for record in result.records)
+    assert max(alive_after_fork) <= 2
+
+
+def test_journal_error_stops_every_worker(tmp_path, monkeypatch):
+    append = Journal.append
+    appended = []
+
+    def failing_append(journal, record):
+        if len(appended) == 2:
+            raise OSError("journal disk full")
+        appended.append(record)
+        append(journal, record)
+
+    monkeypatch.setattr(Journal, "append", failing_append)
+    with pytest.raises(OSError, match="journal disk full"):
+        run_campaign(pid_tasks(8, delay=0.2), workers=2,
+                     journal=str(tmp_path / "j.jsonl"))
+    assert multiprocessing.active_children() == []
+
+
+def _pool_victim(journal, n):
+    """Child-process entry: run a slow two-worker campaign until killed."""
+    run_campaign(pid_tasks(n, delay=0.3), workers=2, journal=journal)
+
+
+def _running(pid):
+    """Whether *pid* still runs (a zombie awaiting its reaper does not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rpartition(")")[2].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state not in ("Z", "X")
+
+
+def test_kill_dash_nine_leaves_no_pool_worker(tmp_path):
+    """Workers see their parent's death as EOF on their pipe: none may
+    keep a copy of its own pipe's or a sibling's parent end."""
+    journal = str(tmp_path / "j.jsonl")
+    victim = multiprocessing.get_context("fork").Process(
+        target=_pool_victim, args=(journal, 40))
+    victim.start()
+    pids = set()
+    deadline = time.monotonic() + 60
+    while len(pids) < 2 and time.monotonic() < deadline:
+        pids = {r.outcome["pid"] for r in Journal(journal).load()}
+        time.sleep(0.02)
+    os.kill(victim.pid, signal.SIGKILL)
+    victim.join(timeout=10)
+    try:
+        assert len(pids) == 2
+        deadline = time.monotonic() + 5
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in pids if _running(pid)]
+    finally:
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,8 @@ class TestCampaignWatch:
         assert "layers" not in snapshot.health  # frame keeps the rollup only
 
     def test_active_workers_from_trial_span_slots(self, tmp_path):
-        """Fork-per-trial pools burn one pid per attempt; the worker count
+        """Pids outnumber a pool's workers (a failed attempt's worker is
+        replaced, and each campaign forks its own pool); the worker count
         must come from the bounded pool slots, not raw pids."""
         import time as time_module
 

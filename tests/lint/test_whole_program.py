@@ -313,6 +313,10 @@ class TestRuntimeSweepRegression:
                  if f.rule in ("atomic-commit", "fork-reach",
                                "rng-purity-flow", "lease-protocol")]
         assert cross == [], [f.render() for f in cross]
+        # the rule walks from the pool's worker loop and the serve worker
+        entries = result.graph.fork_entries()
+        assert "repro.experiments.runner._worker_main" in entries
+        assert "repro.serve.scheduler.run_worker" in entries
 
     def test_baseline_cache_fsyncs_before_commit(self, tmp_path):
         # the unit half of the regression: the helper the fix introduced

@@ -238,6 +238,21 @@ def test_trial_span_shape_is_the_same_in_process_and_forked(tmp_path):
     assert len(keys[1]) == 1
 
 
+def test_trace_scope_tee_keeps_pool_worker_events(tmp_path):
+    """A serve shard tees into a buffered file; with a trial timeout its
+    trials run on a pool worker, whose spans must reach that file too."""
+    tee = tmp_path / "shard.jsonl"
+    tasks = [TrialTask(f"shape/{i}", "test_telemetry_shape", {"value": i})
+             for i in range(3)]
+    with telemetry.trace_scope(None, jsonl=str(tee)):
+        run_campaign(tasks, workers=1, trial_timeout=60.0)
+    spans = [event for event in telemetry.load_events(str(tee))
+             if event["type"] == "span"]
+    trains = [span for span in spans if span["name"] == "train"]
+    assert len(trains) == 3
+    assert os.getpid() not in {span["pid"] for span in trains}
+
+
 def test_forked_batched_chunk_parents_its_train_span(tmp_path):
     """perfbench's ``batched.*`` metrics read ``train`` spans under
     ``trial_batch``: a forked chunk must ship that span's context."""
