@@ -36,6 +36,11 @@ class Layer:
         #: activations shaped ``(trials, batch, ...)``.  ``None`` (the
         #: default) keeps the ordinary single-trial kernels.
         self.trials: int | None = None
+        #: whether :meth:`backward` forms the gradient w.r.t. its input.
+        #: :class:`~repro.nn.model.Model` clears it on the layer fed the
+        #: data batch, whose input gradient nobody reads; a layer that
+        #: honours it (Conv2D, Dense) then returns ``None``.
+        self.needs_input_grad = True
 
     # -- interface ----------------------------------------------------------
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -145,6 +150,8 @@ class Conv2D(Layer):
         grad_mat = grad.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
         self.grads["W"] = (grad_mat.T @ cols).reshape(self.params["W"].shape)
         self.grads["b"] = grad_mat.sum(axis=0)
+        if not self.needs_input_grad:
+            return None
         weight = self._param("W").reshape(self.out_channels, -1)
         grad_cols = grad_mat @ weight
         return F.col2im(grad_cols, x_shape, self.kernel, self.stride, self.pad)
@@ -159,6 +166,8 @@ class Conv2D(Layer):
             grad_mat.transpose(0, 2, 1), cols
         ).reshape(self.params["W"].shape)
         self.grads["b"] = grad_mat.sum(axis=1)
+        if not self.needs_input_grad:
+            return None
         weight = self._param("W").reshape(t, self.out_channels, -1)
         grad_cols = grad_mat @ weight
         dx = F.col2im(grad_cols.reshape(-1, grad_cols.shape[-1]),
@@ -200,10 +209,12 @@ class Dense(Layer):
         if self.trials is not None:
             self.grads["W"] = np.matmul(grad.transpose(0, 2, 1), x)
             self.grads["b"] = grad.sum(axis=1)
-            return np.matmul(grad, self._param("W"))
-        self.grads["W"] = grad.T @ x
-        self.grads["b"] = grad.sum(axis=0)
-        return grad @ self._param("W")
+        else:
+            self.grads["W"] = grad.T @ x
+            self.grads["b"] = grad.sum(axis=0)
+        if not self.needs_input_grad:
+            return None
+        return np.matmul(grad, self._param("W"))
 
 
 class ReLU(Layer):

@@ -27,6 +27,11 @@ class Model:
         duplicates = {n for n in names if names.count(n) > 1}
         if duplicates:
             raise ValueError(f"duplicate layer names: {sorted(duplicates)}")
+        # the layer fed the data batch: see backward
+        stem = net
+        while isinstance(stem, Sequential) and stem.layers:
+            stem = stem.layers[0]
+        stem.needs_input_grad = False
 
     # -- compute ----------------------------------------------------------
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -34,8 +39,15 @@ class Model:
             x.astype(self.policy.compute_dtype, copy=False), training
         )
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        return self.net.backward(grad)
+    def backward(self, grad: np.ndarray) -> None:
+        """Backpropagate the loss gradient *grad* w.r.t. the logits,
+        filling every layer's ``grads``.
+
+        The first layer's input gradient, w.r.t. the data batch, is not
+        formed: no caller reads it, and for a conv stem it would cost a GEMM
+        and a col2im per step.  Nothing is returned.
+        """
+        self.net.backward(grad)
 
     def predict(self, x: np.ndarray, batch_size: int = 64) -> np.ndarray:
         """Inference logits, batched to bound memory."""
