@@ -4,9 +4,9 @@ Amortizes training cost across independent fault-injection trials: N weight
 replicas — each corrupted by its own injection plan — are stacked along a
 leading "trial" axis and driven through :mod:`repro.nn` in one shared
 forward/backward pass per mini-batch.  Every per-trial result (final
-weights, health-probe stats, outcome label) is bit-identical to running the
-same trial through the sequential path; ``tests/batched`` holds the oracle
-battery that enforces this.
+weights, health-probe stats, outcome label) is bit-identical to training
+that trial alone, which runs the same kernels as a stack of one;
+``tests/batched`` holds the oracle battery that enforces this.
 
 See ``docs/batched-execution.md`` for the stacking layout and memory model.
 """

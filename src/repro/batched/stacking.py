@@ -4,7 +4,9 @@ The batched multi-fault engine loads N independently corrupted checkpoints
 into N ordinary models, then *stacks* them: every parameter, gradient, and
 state array of structurally identical layers becomes one array with a new
 leading axis of length N, and each concrete layer's ``trials`` attribute is
-set so the :mod:`repro.nn` kernels take their batched-matmul paths.
+set.  The :mod:`repro.nn` kernels always run over a trial axis; with
+``trials`` set they take the stacked arrays as they are, instead of viewing
+one trial's arrays as a stack of one.
 
 Stacking is performed **in place onto the first replica** (``np.stack``
 copies the bytes, so the result shares no storage with the donors, but the

@@ -146,7 +146,7 @@ class DataParallelTrainer:
                     loss, grad = F.softmax_cross_entropy_with_grad(
                         logits, batch_labels[shard]
                     )
-                    batch_loss += loss * shard.size
+                    batch_loss += float(loss) * shard.size
                     correct += int(np.sum(
                         np.argmax(logits, axis=1) == batch_labels[shard]
                     ))

@@ -52,7 +52,6 @@ from .engine import (
     ENGINES,
     InjectionPlan,
     PlanTarget,
-    apply_plans_stacked,
     sample_plan,
 )
 from .equivalent import (
@@ -75,7 +74,6 @@ __all__ = [
     "PlanTarget",
     "ReplayConfig",
     "ReplayResult",
-    "apply_plans_stacked",
     "bitops",
     "build_location_map",
     "corrupt_checkpoint",

@@ -690,52 +690,3 @@ def _fill_records(slots, ordinals, plan, target, olds, news) -> None:
             fields[draw_key] = draw_list[j]
         record.__dict__ = fields
         slots[i] = record
-
-
-# ---------------------------------------------------------------------------
-# stacked application
-# ---------------------------------------------------------------------------
-
-def apply_plans_stacked(plans: list[InjectionPlan],
-                        stacked_arrays: list[np.ndarray],
-                        rngs: list[np.random.Generator],
-                        engine: str = "vectorized"
-                        ) -> list[tuple[list[InjectionRecord],
-                                        ApplyCounters]]:
-    """Apply N independent plans onto N weight replicas stacked on axis 0.
-
-    ``stacked_arrays[j]`` holds target *j* for every trial, with the trial
-    axis leading (shape ``(N, *target_shape)``); ``plans[t]`` and ``rngs[t]``
-    drive trial *t*.  Each trial's application runs :func:`apply_plan` over
-    an :class:`ArrayStore` of its slices — the same code path, the same RNG
-    consumption, the same records — so the mutated bytes of slice *t* are
-    identical to corrupting replica *t* alone.  Returns each trial's
-    (records, counters) in trial order.
-    """
-    if len(plans) != len(rngs):
-        raise CorruptionError(
-            f"{len(plans)} plans but {len(rngs)} rngs"
-        )
-    trials = len(plans)
-    for array in stacked_arrays:
-        if array.shape[0] != trials:
-            raise CorruptionError(
-                f"stacked array has {array.shape[0]} trials, expected "
-                f"{trials}"
-            )
-    out = []
-    for trial, (plan, rng) in enumerate(zip(plans, rngs)):
-        if len(plan.targets) != len(stacked_arrays):
-            raise CorruptionError(
-                f"plan {trial} has {len(plan.targets)} targets but "
-                f"{len(stacked_arrays)} stacked arrays were given"
-            )
-        for target, array in zip(plan.targets, stacked_arrays):
-            if target.size != array[trial].size:
-                raise CorruptionError(
-                    f"plan {trial} target {target.name!r} size "
-                    f"{target.size} != stacked slice size {array[trial].size}"
-                )
-        store = ArrayStore([array[trial] for array in stacked_arrays])
-        out.append(apply_plan(plan, store, rng, engine=engine))
-    return out

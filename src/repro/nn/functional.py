@@ -204,76 +204,40 @@ def col2im(cols: np.ndarray, x_shape: tuple[int, int, int, int],
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over the class (last) axis.
-
-    The reduction axis is ``-1`` rather than the historical hard-coded ``1``
-    so the same kernel serves plain ``(N, C)`` logits and trial-stacked
-    ``(T, N, C)`` logits; for 2-D inputs the two spellings are the same
-    reduction, bit for bit.
-    """
+    """Numerically stable softmax over the class (last) axis, for ``(N, C)``
+    logits and trial-stacked ``(T, N, C)`` logits alike."""
     shifted = logits - np.max(logits, axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / np.sum(exp, axis=-1, keepdims=True)
 
 
+# The loss helpers below reduce over the trailing (batch, class) axes, so
+# one call on trial-stacked ``(T, N, C)`` input returns per-trial ``(T,)``
+# results, and slice t of each is bitwise the call on trial t's ``(N, C)``
+# slice.  On ``(N, C)`` input they return numpy scalars of the compute
+# dtype; callers that do arithmetic on them convert them to Python floats.
+
 def cross_entropy(probs: np.ndarray, labels: np.ndarray,
-                  eps: float = 1e-12) -> float:
+                  eps: float = 1e-12) -> np.ndarray:
     """Mean negative log-likelihood of integer *labels* under *probs*."""
-    n = probs.shape[0]
-    picked = probs[np.arange(n), labels]
-    return float(-np.mean(np.log(np.clip(picked, eps, None))))
+    n = probs.shape[-2]
+    picked = probs[..., np.arange(n), labels]
+    return -np.mean(np.log(np.clip(picked, eps, None)), axis=-1)
 
 
 def softmax_cross_entropy_with_grad(
     logits: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Loss value and gradient w.r.t. logits in one pass."""
     probs = softmax(logits)
     loss = cross_entropy(probs, labels)
+    n = logits.shape[-2]
     grad = probs.copy()
-    grad[np.arange(logits.shape[0]), labels] -= 1.0
-    grad /= logits.shape[0]
+    grad[..., np.arange(n), labels] -= 1.0
+    grad /= n
     return loss, grad
 
 
-def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
+def accuracy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Top-1 classification accuracy in [0, 1]."""
-    return float(np.mean(np.argmax(logits, axis=-1) == labels))
-
-
-# ---------------------------------------------------------------------------
-# Trial-stacked variants
-# ---------------------------------------------------------------------------
-#
-# The batched multi-fault engine trains T weight replicas at once; logits
-# arrive stacked as (T, N, C).  Each helper below reduces per trial with the
-# same contiguous-axis reduction the scalar helper performs on one trial's
-# (N, C) slice, so slice t of every result is bitwise what the sequential
-# code would have produced.
-
-def cross_entropy_stacked(probs: np.ndarray, labels: np.ndarray,
-                          eps: float = 1e-12) -> np.ndarray:
-    """Per-trial mean NLL of integer *labels* under stacked ``(T, N, C)``
-    probabilities; returns shape ``(T,)``."""
-    n = probs.shape[1]
-    picked = probs[:, np.arange(n), labels]
-    return -np.mean(np.log(np.clip(picked, eps, None)), axis=-1)
-
-
-def softmax_cross_entropy_with_grad_stacked(
-    logits: np.ndarray, labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked analogue of :func:`softmax_cross_entropy_with_grad`:
-    per-trial losses ``(T,)`` and the gradient w.r.t. ``(T, N, C)`` logits."""
-    probs = softmax(logits)
-    losses = cross_entropy_stacked(probs, labels)
-    n = logits.shape[1]
-    grad = probs.copy()
-    grad[:, np.arange(n), labels] -= 1.0
-    grad /= n
-    return losses, grad
-
-
-def accuracy_stacked(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per-trial top-1 accuracy of stacked ``(T, N, C)`` logits: ``(T,)``."""
     return np.mean(np.argmax(logits, axis=-1) == labels, axis=-1)

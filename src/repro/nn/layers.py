@@ -22,7 +22,17 @@ from .rng import StreamRNG, stream
 
 
 class Layer:
-    """Base class: named, with parameters, gradients, and persistent state."""
+    """Base class: named, with parameters, gradients, and persistent state.
+
+    A concrete layer writes its kernel once, as :meth:`_forward` and
+    :meth:`_backward` over activations with a leading trial axis,
+    ``(trials, batch, ...)``.  A layer outside a stack (``trials is None``)
+    runs that kernel as a stack of one: :meth:`forward` and
+    :meth:`backward` add a unit trial axis on the way in and drop it on the
+    way out, :meth:`_lift` views parameters and state with it, and
+    :meth:`_store` writes gradients and state back at their own shapes.
+    The lift adds no copy: each of these is a view.
+    """
 
     def __init__(self, name: str, policy: DTypePolicy | str = "float32"):
         self.name = name
@@ -32,9 +42,10 @@ class Layer:
         self.state: dict[str, np.ndarray] = {}
         #: trial-axis width when this layer is part of a stacked multi-trial
         #: replica (see :mod:`repro.batched`): every param/grad/state array
-        #: carries a leading axis of this length and forward/backward expect
+        #: carries a leading axis of this length and forward/backward take
         #: activations shaped ``(trials, batch, ...)``.  ``None`` (the
-        #: default) keeps the ordinary single-trial kernels.
+        #: default) is one trial at the plain shapes, run through the same
+        #: kernels as a stack of one.
         self.trials: int | None = None
         #: whether :meth:`backward` forms the gradient w.r.t. its input.
         #: :class:`~repro.nn.model.Model` clears it on the layer fed the
@@ -44,15 +55,39 @@ class Layer:
 
     # -- interface ----------------------------------------------------------
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        if self.trials is not None:
+            return self._forward(x, training)
+        return self._forward(x[None], training)[0]
+
+    def backward(self, grad: np.ndarray) -> np.ndarray | None:
+        if self.trials is not None:
+            return self._backward(grad)
+        dx = self._backward(grad[None])
+        return None if dx is None else dx[0]
+
+    def _forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def _backward(self, grad: np.ndarray) -> np.ndarray | None:
         raise NotImplementedError
 
     # -- helpers ------------------------------------------------------------
+    def _lift(self, array: np.ndarray) -> np.ndarray:
+        """One of this layer's params or state arrays, with the trial axis."""
+        return array if self.trials is not None else array[None]
+
     def _param(self, key: str) -> np.ndarray:
-        """Parameter cast to compute dtype."""
-        return self.params[key].astype(self.policy.compute_dtype, copy=False)
+        """Parameter cast to compute dtype, with the trial axis."""
+        return self._lift(self.params[key]).astype(
+            self.policy.compute_dtype, copy=False)
+
+    @staticmethod
+    def _store(group: dict[str, np.ndarray], key: str,
+               value: np.ndarray) -> None:
+        """Put a kernel's ``(trials, ...)`` result in ``grads`` or
+        ``state`` at the shape its entry has (a stack of one drops the
+        unit axis)."""
+        group[key] = value.reshape(group[key].shape)
 
     def add_param(self, key: str, value: np.ndarray) -> None:
         self.params[key] = value.astype(self.policy.param_dtype)
@@ -103,29 +138,10 @@ class Conv2D(Layer):
                                        dtype=self.policy.compute_dtype))
         self._cache = None
 
-    def forward(self, x, training=False):
-        if self.trials is not None:
-            return self._forward_stacked(x)
-        n, c, h, w = x.shape
-        if c != self.in_channels:
-            raise ValueError(
-                f"{self.name}: expected {self.in_channels} channels, got {c}"
-            )
-        out_h = F.conv_output_size(h, self.kernel, self.stride, self.pad)
-        out_w = F.conv_output_size(w, self.kernel, self.stride, self.pad)
-        cols = F.im2col(x, self.kernel, self.stride, self.pad)
-        weight = self._param("W").reshape(self.out_channels, -1)
-        out = cols @ weight.T
-        np.add(out, self._param("b"), out=out)
-        out = out.reshape(n, out_h, out_w, self.out_channels)
-        self._cache = (x.shape, cols)
-        return out.transpose(0, 3, 1, 2)
-
-    def _forward_stacked(self, x):
-        # (T, N, C, H, W): one im2col over the folded T*N batch, split
-        # back per trial with the sequential memory order, then a batched
-        # GEMM against the per-trial weight stack.  Slice t of every
-        # intermediate is bitwise the sequential forward on replica t.
+    def _forward(self, x, training):
+        # one im2col over the folded T*N batch, split back per trial with
+        # the memory order one trial's matrix has alone, then a GEMM per
+        # trial against its own weights
         t, n, c, h, w = x.shape
         if c != self.in_channels:
             raise ValueError(
@@ -142,30 +158,15 @@ class Conv2D(Layer):
         self._cache = (x.shape, cols)
         return out.transpose(0, 1, 4, 2, 3)
 
-    def backward(self, grad):
-        if self.trials is not None:
-            return self._backward_stacked(grad)
-        x_shape, cols = self._cache
-        n = x_shape[0]
-        grad_mat = grad.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-        self.grads["W"] = (grad_mat.T @ cols).reshape(self.params["W"].shape)
-        self.grads["b"] = grad_mat.sum(axis=0)
-        if not self.needs_input_grad:
-            return None
-        weight = self._param("W").reshape(self.out_channels, -1)
-        grad_cols = grad_mat @ weight
-        return F.col2im(grad_cols, x_shape, self.kernel, self.stride, self.pad)
-
-    def _backward_stacked(self, grad):
+    def _backward(self, grad):
         x_shape, cols = self._cache
         t, n = x_shape[0], x_shape[1]
         grad_mat = grad.transpose(0, 1, 3, 4, 2).reshape(
             t, -1, self.out_channels
         )
-        self.grads["W"] = np.matmul(
-            grad_mat.transpose(0, 2, 1), cols
-        ).reshape(self.params["W"].shape)
-        self.grads["b"] = grad_mat.sum(axis=1)
+        self._store(self.grads, "W",
+                    np.matmul(grad_mat.transpose(0, 2, 1), cols))
+        self._store(self.grads, "b", grad_mat.sum(axis=1))
         if not self.needs_input_grad:
             return None
         weight = self._param("W").reshape(t, self.out_channels, -1)
@@ -193,25 +194,16 @@ class Dense(Layer):
                                        dtype=self.policy.compute_dtype))
         self._cache = None
 
-    def forward(self, x, training=False):
+    def _forward(self, x, training):
         self._cache = x
-        if self.trials is not None:
-            weight = self._param("W")
-            out = np.matmul(x, weight.transpose(0, 2, 1))
-            np.add(out, self._param("b")[:, None, :], out=out)
-            return out
-        out = x @ self._param("W").T
-        np.add(out, self._param("b"), out=out)
+        out = np.matmul(x, self._param("W").transpose(0, 2, 1))
+        np.add(out, self._param("b")[:, None, :], out=out)
         return out
 
-    def backward(self, grad):
+    def _backward(self, grad):
         x = self._cache
-        if self.trials is not None:
-            self.grads["W"] = np.matmul(grad.transpose(0, 2, 1), x)
-            self.grads["b"] = grad.sum(axis=1)
-        else:
-            self.grads["W"] = grad.T @ x
-            self.grads["b"] = grad.sum(axis=0)
+        self._store(self.grads, "W", np.matmul(grad.transpose(0, 2, 1), x))
+        self._store(self.grads, "b", grad.sum(axis=1))
         if not self.needs_input_grad:
             return None
         return np.matmul(grad, self._param("W"))
@@ -224,11 +216,11 @@ class ReLU(Layer):
         super().__init__(name)
         self._mask = None
 
-    def forward(self, x, training=False):
+    def _forward(self, x, training):
         self._mask = x > 0
         return x * self._mask
 
-    def backward(self, grad):
+    def _backward(self, grad):
         return grad * self._mask
 
 
@@ -239,13 +231,11 @@ class Flatten(Layer):
         super().__init__(name)
         self._shape = None
 
-    def forward(self, x, training=False):
+    def _forward(self, x, training):
         self._shape = x.shape
-        if self.trials is not None:
-            return x.reshape(x.shape[0], x.shape[1], -1)
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], x.shape[1], -1)
 
-    def backward(self, grad):
+    def _backward(self, grad):
         return grad.reshape(self._shape)
 
 
@@ -258,29 +248,26 @@ class MaxPool2D(Layer):
         self.stride = stride or kernel
         self._cache = None
 
-    def forward(self, x, training=False):
-        orig = x.shape
-        if self.trials is not None:
-            # fold the trial axis into the batch: pooling has no parameters,
-            # so per-(trial, sample) window math is unchanged bit for bit
-            x = x.reshape(orig[0] * orig[1], *orig[2:])
-        n, c, h, w = x.shape
+    def _forward(self, x, training):
+        # pooling has no parameters: every (trial, image, channel) plane
+        # pools alone, so the planes fold into one batch
+        h, w = x.shape[-2:]
         k, s = self.kernel, self.stride
         out_h = F.conv_output_size(h, k, s, 0)
         out_w = F.conv_output_size(w, k, s, 0)
-        cols = F.im2col(x.reshape(n * c, 1, h, w), k, s, 0)
+        planes = x.reshape(-1, 1, h, w)
+        cols = F.im2col(planes, k, s, 0)
         arg = np.argmax(cols, axis=1)
         out = cols[np.arange(cols.shape[0]), arg]
-        self._cache = (orig, x.shape, cols.shape, arg)
-        return out.reshape(orig[:-2] + (out_h, out_w))
+        self._cache = (x.shape, planes.shape, cols.shape, arg)
+        return out.reshape(x.shape[:-2] + (out_h, out_w))
 
-    def backward(self, grad):
-        orig, x_shape, cols_shape, arg = self._cache
-        n, c, h, w = x_shape
+    def _backward(self, grad):
+        x_shape, planes_shape, cols_shape, arg = self._cache
         grad_cols = np.zeros(cols_shape, dtype=grad.dtype)
         grad_cols[np.arange(cols_shape[0]), arg] = grad.reshape(-1)
-        dx = F.col2im(grad_cols, (n * c, 1, h, w), self.kernel, self.stride, 0)
-        return dx.reshape(orig)
+        dx = F.col2im(grad_cols, planes_shape, self.kernel, self.stride, 0)
+        return dx.reshape(x_shape)
 
 
 class GlobalAvgPool2D(Layer):
@@ -290,13 +277,11 @@ class GlobalAvgPool2D(Layer):
         super().__init__(name)
         self._shape = None
 
-    def forward(self, x, training=False):
-        # reduce the trailing spatial axes rather than hard-coded (2, 3):
-        # the same kernel serves NCHW and trial-stacked TNCHW activations
+    def _forward(self, x, training):
         self._shape = x.shape
         return x.mean(axis=(-2, -1))
 
-    def backward(self, grad):
+    def _backward(self, grad):
         h, w = self._shape[-2:]
         return np.broadcast_to(
             grad[..., None, None] / (h * w), self._shape
@@ -312,28 +297,25 @@ class AvgPool2D(Layer):
         self.stride = stride or kernel
         self._cache = None
 
-    def forward(self, x, training=False):
-        orig = x.shape
-        if self.trials is not None:
-            x = x.reshape(orig[0] * orig[1], *orig[2:])
-        n, c, h, w = x.shape
+    def _forward(self, x, training):
+        # planes fold into one batch, as in MaxPool2D
+        h, w = x.shape[-2:]
         k, s = self.kernel, self.stride
         out_h = F.conv_output_size(h, k, s, 0)
         out_w = F.conv_output_size(w, k, s, 0)
-        cols = F.im2col(x.reshape(n * c, 1, h, w), k, s, 0)
+        planes = x.reshape(-1, 1, h, w)
+        cols = F.im2col(planes, k, s, 0)
         out = cols.mean(axis=1)
-        self._cache = (orig, x.shape, cols.shape)
-        return out.reshape(orig[:-2] + (out_h, out_w))
+        self._cache = (x.shape, planes.shape, cols.shape)
+        return out.reshape(x.shape[:-2] + (out_h, out_w))
 
-    def backward(self, grad):
-        orig, x_shape, cols_shape = self._cache
-        n, c, h, w = x_shape
+    def _backward(self, grad):
+        x_shape, planes_shape, cols_shape = self._cache
         grad_cols = np.broadcast_to(
             grad.reshape(-1, 1) / (self.kernel * self.kernel), cols_shape
         ).astype(grad.dtype)
-        dx = F.col2im(grad_cols, (n * c, 1, h, w), self.kernel, self.stride,
-                      0)
-        return dx.reshape(orig)
+        dx = F.col2im(grad_cols, planes_shape, self.kernel, self.stride, 0)
+        return dx.reshape(x_shape)
 
 
 class LocalResponseNorm(Layer):
@@ -365,19 +347,17 @@ class LocalResponseNorm(Layer):
             out += padded[:, offset:offset + channels]
         return out
 
-    def forward(self, x, training=False):
+    def _forward(self, x, training):
+        # channel-window sums index axis 1: fold the trials into the batch
         orig = x.shape
-        if self.trials is not None:
-            # channel-window sums index axis 1; fold trials into the batch so
-            # the 4-D kernel applies unchanged, then unfold the result
-            x = x.reshape(orig[0] * orig[1], *orig[2:])
+        x = x.reshape(-1, *orig[2:])
         squares = x * x
         norm = self.k + (self.alpha / self.size) * self._window_sum(squares)
         scale = norm ** (-self.beta)
         self._cache = (orig, x, norm, scale)
         return (x * scale).reshape(orig)
 
-    def backward(self, grad):
+    def _backward(self, grad):
         orig, x, norm, scale = self._cache
         grad = grad.reshape(x.shape)
         # d(out_c')/d(x_c) has a direct term and a cross-channel term
@@ -413,99 +393,53 @@ class BatchNorm2D(Layer):
         )
         self._cache = None
 
-    def forward(self, x, training=False):
-        if self.trials is not None:
-            return self._forward_stacked(x, training)
+    def _forward(self, x, training):
+        # (T, N, C, H, W): batch statistics reduce over (N, H, W) per
+        # trial; gamma, beta and the running stats are (T, C)
         compute = self.policy.compute_dtype
         if training:
             # one explicit centering pass shared by the variance and x_hat;
             # bitwise it is exactly ``x.var`` (same subtract, same pairwise
             # sum over the same layout), minus two redundant passes over x
-            mean = x.mean(axis=(0, 2, 3))
-            delta = x - mean[None, :, None, None]
-            var = (delta * delta).mean(axis=(0, 2, 3))
-            self.state["running_mean"] = (
-                self.momentum * self.state["running_mean"].astype(compute, copy=False)
-                + (1 - self.momentum) * mean
-            ).astype(self.policy.param_dtype, copy=False)
-            self.state["running_var"] = (
-                self.momentum * self.state["running_var"].astype(compute, copy=False)
-                + (1 - self.momentum) * var
-            ).astype(self.policy.param_dtype, copy=False)
-        else:
-            mean = self.state["running_mean"].astype(compute, copy=False)
-            var = self.state["running_var"].astype(compute, copy=False)
-            delta = x - mean[None, :, None, None]
-        std = np.sqrt(var + self.eps)
-        # in-place where the operand is dead afterwards: same ops in the
-        # same order, just without the intermediate allocations
-        x_hat = np.divide(delta, std[None, :, None, None], out=delta)
-        out = self._param("gamma")[None, :, None, None] * x_hat
-        np.add(out, self._param("beta")[None, :, None, None], out=out)
-        self._cache = (x_hat, std)
-        return out
-
-    def _forward_stacked(self, x, training):
-        # (T, N, C, H, W): batch statistics reduce over (N, H, W) per trial,
-        # running stats and gamma/beta are stacked (T, C)
-        compute = self.policy.compute_dtype
-        if training:
-            # same single centering pass as the sequential branch; per-trial
-            # slices reduce over the same (N, H, W) layout, so slice t stays
-            # bitwise the sequential forward on replica t
             mean = x.mean(axis=(1, 3, 4))
             delta = x - mean[:, None, :, None, None]
             var = (delta * delta).mean(axis=(1, 3, 4))
-            self.state["running_mean"] = (
-                self.momentum * self.state["running_mean"].astype(compute, copy=False)
-                + (1 - self.momentum) * mean
-            ).astype(self.policy.param_dtype, copy=False)
-            self.state["running_var"] = (
-                self.momentum * self.state["running_var"].astype(compute, copy=False)
-                + (1 - self.momentum) * var
-            ).astype(self.policy.param_dtype, copy=False)
+            for key, batch in (("running_mean", mean), ("running_var", var)):
+                running = self._lift(self.state[key]).astype(compute,
+                                                             copy=False)
+                self._store(self.state, key, (
+                    self.momentum * running + (1 - self.momentum) * batch
+                ).astype(self.policy.param_dtype, copy=False))
         else:
-            mean = self.state["running_mean"].astype(compute, copy=False)
-            var = self.state["running_var"].astype(compute, copy=False)
+            mean = self._lift(self.state["running_mean"]).astype(
+                compute, copy=False)
+            var = self._lift(self.state["running_var"]).astype(
+                compute, copy=False)
             delta = x - mean[:, None, :, None, None]
         std = np.sqrt(var + self.eps)
+        # in-place where the operand is dead afterwards: same ops in the
+        # same order, just without the intermediate allocations
         x_hat = np.divide(delta, std[:, None, :, None, None], out=delta)
         out = self._param("gamma")[:, None, :, None, None] * x_hat
         np.add(out, self._param("beta")[:, None, :, None, None], out=out)
         self._cache = (x_hat, std)
         return out
 
-    def backward(self, grad):
-        x_hat, std = self._cache
-        if self.trials is not None:
-            scratch = grad * x_hat
-            self.grads["gamma"] = scratch.sum(axis=(1, 3, 4))
-            self.grads["beta"] = grad.sum(axis=(1, 3, 4))
-            gamma = self._param("gamma")[:, None, :, None, None]
-            dx_hat = grad * gamma
-            term2 = dx_hat.mean(axis=(1, 3, 4), keepdims=True)
-            cross = np.multiply(dx_hat, x_hat, out=scratch)
-            term3 = np.multiply(
-                x_hat, cross.mean(axis=(1, 3, 4), keepdims=True), out=scratch
-            )
-            # same subtract/subtract/divide chain, reusing the dead dx_hat
-            out = np.subtract(dx_hat, term2, out=dx_hat)
-            np.subtract(out, term3, out=out)
-            return np.divide(out, std[:, None, :, None, None], out=out)
-        scratch = grad * x_hat
-        self.grads["gamma"] = scratch.sum(axis=(0, 2, 3))
-        self.grads["beta"] = grad.sum(axis=(0, 2, 3))
-        gamma = self._param("gamma")[None, :, None, None]
-        dx_hat = grad * gamma
+    def _backward(self, grad):
         # standard batch-norm backward (training-mode statistics)
-        term2 = dx_hat.mean(axis=(0, 2, 3), keepdims=True)
+        x_hat, std = self._cache
+        scratch = grad * x_hat
+        self._store(self.grads, "gamma", scratch.sum(axis=(1, 3, 4)))
+        self._store(self.grads, "beta", grad.sum(axis=(1, 3, 4)))
+        dx_hat = grad * self._param("gamma")[:, None, :, None, None]
+        term2 = dx_hat.mean(axis=(1, 3, 4), keepdims=True)
         cross = np.multiply(dx_hat, x_hat, out=scratch)
         term3 = np.multiply(
-            x_hat, cross.mean(axis=(0, 2, 3), keepdims=True), out=scratch
+            x_hat, cross.mean(axis=(1, 3, 4), keepdims=True), out=scratch
         )
         out = np.subtract(dx_hat, term2, out=dx_hat)
         np.subtract(out, term3, out=out)
-        return np.divide(out, std[None, :, None, None], out=out)
+        return np.divide(out, std[:, None, :, None, None], out=out)
 
 
 class Dropout(Layer):
@@ -526,21 +460,19 @@ class Dropout(Layer):
     def on_epoch_start(self, epoch: int) -> None:
         self._stream.reset(epoch * self.EPOCH_STRIDE)
 
-    def forward(self, x, training=False):
+    def _forward(self, x, training):
         if not training or self.rate == 0.0:
             self._mask = None
             return x
         rng = self._stream.next()
         keep = 1.0 - self.rate
-        # stacked mode: every sequential trial of a spec draws the same mask
-        # (masks are a pure function of seed and epoch, not of the weights),
-        # so one per-sample mask drawn at the unstacked shape and broadcast
-        # across the trial axis reproduces each trial's draws exactly
-        shape = x.shape[1:] if self.trials is not None else x.shape
-        self._mask = (rng.random(shape) < keep).astype(x.dtype) / keep
+        # masks are a pure function of seed and epoch, not of the weights,
+        # so every trial draws the same one: draw it once at one trial's
+        # shape and broadcast it across the trial axis
+        self._mask = (rng.random(x.shape[1:]) < keep).astype(x.dtype) / keep
         return x * self._mask
 
-    def backward(self, grad):
+    def _backward(self, grad):
         if self._mask is None:
             return grad
         return grad * self._mask

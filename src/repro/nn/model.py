@@ -62,7 +62,8 @@ class Model:
         """Return (mean loss, accuracy) on a labelled set."""
         logits = self.predict(x, batch_size)
         probs = F.softmax(logits)
-        return F.cross_entropy(probs, labels), F.accuracy(logits, labels)
+        return (float(F.cross_entropy(probs, labels)),
+                float(F.accuracy(logits, labels)))
 
     # -- parameters ----------------------------------------------------------
     def layers(self) -> list[Layer]:

@@ -107,24 +107,19 @@ class Trainer:
                 loss, grad = F.softmax_cross_entropy_with_grad(
                     logits, batch_labels
                 )
-                losses.append(loss)
+                losses.append(float(loss))
                 correct += int(
                     np.sum(np.argmax(logits, axis=1) == batch_labels)
                 )
                 self.model.backward(grad)
                 self.optimizer.step(self.model)
         train_loss = float(np.mean(losses)) if losses else float("nan")
-        collapsed = not np.isfinite(train_loss)
-        if collapsed:
-            # distinguish transient loss overflow from weight corruption
-            collapsed = True
-        elif self.model.has_nonfinite_parameters():
-            collapsed = True
         return EpochMetrics(
             epoch=self.epoch,
             train_loss=train_loss,
             train_accuracy=correct / x.shape[0],
-            collapsed=collapsed,
+            collapsed=(not np.isfinite(train_loss)
+                       or self.model.has_nonfinite_parameters()),
         )
 
     def fit(self, x: np.ndarray, labels: np.ndarray,
@@ -281,7 +276,7 @@ class BatchedTrainer:
                 batch_labels = labels[idx]
                 stacked = np.broadcast_to(batch, (live,) + batch.shape)
                 logits = self.model.forward(stacked, training=True)
-                batch_losses, grad = F.softmax_cross_entropy_with_grad_stacked(
+                batch_losses, grad = F.softmax_cross_entropy_with_grad(
                     logits, batch_labels
                 )
                 for pos in range(live):
@@ -369,8 +364,7 @@ class BatchedTrainer:
             outputs.append(self.model.forward(stacked, training=False))
         logits = np.concatenate(outputs, axis=1)
         probs = F.softmax(logits)
-        return (F.cross_entropy_stacked(probs, labels),
-                F.accuracy_stacked(logits, labels))
+        return F.cross_entropy(probs, labels), F.accuracy(logits, labels)
 
     def _nonfinite_trials(self) -> np.ndarray:
         """Per-position mirror of ``Model.has_nonfinite_parameters``."""

@@ -138,7 +138,7 @@ def test_stacked_resnet_bs1_step_skips_only_the_stem_col2im(col2im_calls):
     rng = np.random.default_rng(1)
     x = rng.standard_normal((trials, 1, 3, 16, 16)).astype(np.float32)
     logits = model.forward(x, training=True)
-    _, grad = F.softmax_cross_entropy_with_grad_stacked(logits, np.array([4]))
+    _, grad = F.softmax_cross_entropy_with_grad(logits, np.array([4]))
     assert model.backward(grad) is None
     assert len(col2im_calls) == len(lowered_layers(model)) - 1
     assert (trials, 3, 16, 16) not in col2im_calls

@@ -1,17 +1,20 @@
 """Trial-axis regression tests for the nn kernels.
 
-The batched multi-fault engine feeds every kernel arrays with a new leading
-trial axis; these tests pin the two properties that make that safe:
+Every layer runs one kernel over a leading trial axis; a layer outside a
+stack runs it as a stack of one.  These tests pin the two properties that
+keep the trials of a stack independent:
 
-* functional reductions act on the *last* axis (not a hard-coded axis 1),
-  so 2-D behaviour is unchanged and 3-D stacked logits reduce per trial;
-* every layer's stacked forward/backward is, slice for slice, bitwise the
-  kernel it would have run unstacked — weights, outputs, input grads, and
-  parameter grads alike.
+* functional reductions act on the trailing axes (not a hard-coded axis
+  0 or 1), so 2-D behaviour is unchanged and 3-D stacked logits reduce per
+  trial;
+* every layer's forward/backward over T trials is, slice for slice,
+  bitwise that layer's result on each trial alone — weights, outputs,
+  input grads, and parameter grads alike.
 
-They fail on the pre-trial-axis kernels (axis=1 softmax/argmax, 4-D-only
-pool/LRN shapes), which is the point: any future axis assumption sneaking
-back in breaks them before it breaks the oracle battery.
+They fail on kernels that mix trials (axis=1 softmax/argmax, a loss that
+averages over the trial axis, a reduction over the folded T*N batch),
+which is the point: any axis assumption sneaking back in breaks them
+before it breaks the oracle battery.
 """
 
 from __future__ import annotations
@@ -54,24 +57,34 @@ class TestFunctionalAxes:
         by_hand /= by_hand.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(F.softmax(logits), by_hand, atol=1e-6)
 
-    def test_accuracy_stacked_per_trial(self):
+    def test_accuracy_3d_per_trial(self):
         logits = stacked_logits()
         labels = np.arange(N) % 10
-        stacked = F.accuracy_stacked(logits, labels)
+        stacked = F.accuracy(logits, labels)
         assert stacked.shape == (TRIALS,)
         for t in range(TRIALS):
-            assert stacked[t] == F.accuracy(logits[t], labels)
+            alone = F.accuracy(logits[t], labels)
+            assert stacked[t].tobytes() == np.asarray(alone).tobytes()
 
-    def test_cross_entropy_stacked_per_trial(self):
+    def test_cross_entropy_3d_per_trial(self):
+        probs = F.softmax(stacked_logits())
+        labels = np.arange(N) % 10
+        losses = F.cross_entropy(probs, labels)
+        assert losses.shape == (TRIALS,)
+        for t in range(TRIALS):
+            alone = F.cross_entropy(probs[t], labels)
+            assert losses[t].tobytes() == np.asarray(alone).tobytes()
+
+    def test_softmax_cross_entropy_with_grad_3d_per_trial(self):
         logits = stacked_logits()
         labels = np.arange(N) % 10
-        losses, grads = F.softmax_cross_entropy_with_grad_stacked(
-            logits, labels)
+        losses, grads = F.softmax_cross_entropy_with_grad(logits, labels)
         assert losses.shape == (TRIALS,)
+        assert grads.shape == logits.shape
         for t in range(TRIALS):
             loss_t, grad_t = F.softmax_cross_entropy_with_grad(
                 logits[t], labels)
-            assert losses[t] == loss_t
+            assert losses[t].tobytes() == np.asarray(loss_t).tobytes()
             assert grads[t].tobytes() == grad_t.tobytes()
 
     @pytest.mark.parametrize("images", [1, N])
