@@ -15,9 +15,11 @@ Layers, all stdlib + numpy:
   under re-ingest);
 * :mod:`repro.atlas.ingest` — :class:`AtlasIngester`, the offset-resumable
   walk over campaign roots and journals via the torn-line-tolerant
-  :class:`~repro.telemetry.fleet.JsonlTail`, joining each trial with the
-  ``flip`` events :func:`repro.telemetry.load_events` decodes from the
-  injector's one ``flips`` line per injection;
+  :class:`~repro.telemetry.fleet.JsonlTail`, joining each trial with a
+  summary of its flips folded straight from the injector's one ``flips``
+  line of columns per injection (:func:`repro.telemetry.read_events`, no
+  per-flip decoding; per-flip ``flip`` lines of older streams fold the
+  same way);
 * :mod:`repro.atlas.query` — :func:`surface`, :func:`rank_vulnerability`,
   :func:`diff_surfaces`, the rollup engine;
 * :mod:`repro.atlas.render` — terminal heatmaps, standalone HTML (inline

@@ -11,24 +11,30 @@ The ingester walks two kinds of inputs:
 Each journal is tailed through the torn-line-tolerant, offset-resumable
 :class:`~repro.telemetry.fleet.JsonlTail` — never raw file reads (the
 ``atlas-ingest-offsets`` lint rule pins this) — from the byte offset the
-catalog recorded last time.  Telemetry streams are read whole through
-:func:`repro.telemetry.load_events`, which decodes the injector's
-``flips`` lines into one ``flip`` event per flip.  Every trial record is
-joined with its flip provenance (``flip`` events keyed on the
-``trial_id`` stamp, with a span-parent-chain fallback for streams that
-predate stamping, and only the last attempt's when the runner re-ran the
-trial) and folded into one atlas row; rows land in the store's
-deterministic segments (see :mod:`repro.atlas.store` for why re-ingest is
-always byte-identical, including after a mid-ingest ``kill -9``).
+catalog recorded last time.  Telemetry streams are read as written
+through :func:`repro.telemetry.read_events`, one event at a time, and
+never decoded: each injector ``flips`` line's columns (and each per-flip
+``flip`` event of a stream older than that format) fold straight into its
+trial's :class:`FlipSummary` — the flip count and the distinct layers,
+bits and precisions, all a row needs — so the ingest holds memory per
+trial, not per flip.  Flips are keyed on the ``trial_id`` stamp, with a
+span-parent-chain fallback for streams that predate stamping, and only
+the last attempt's count when the runner re-ran the trial.  Every trial
+record is joined with its summary into one atlas row; rows land in the
+store's deterministic segments (see :mod:`repro.atlas.store` for why
+re-ingest is always byte-identical, including after a mid-ingest
+``kill -9``).
 """
 
 from __future__ import annotations
 
+import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .. import telemetry
 from ..health.outcome import classify_trial_record
+from ..telemetry.aggregate import FLIP_COLUMNS
 from ..telemetry.fleet import JsonlTail
 from .store import CHUNK_ROWS, MULTI, UNKNOWN, AtlasStore, segment_name
 
@@ -43,48 +49,121 @@ class JournalSource:
     telemetry_paths: tuple[str, ...] = ()
 
 
-def flips_by_trial(events: list[dict]) -> dict[str, list[dict]]:
-    """Flip-event attrs grouped by owning trial.
+class FlipSummary:
+    """What an atlas row keeps of one trial's flips: how many there were
+    (``len()``) and the distinct layers, bits and precisions they hit."""
 
-    *events* are decoded (:func:`repro.telemetry.decode_events`).  The
-    primary key is the ``trial_id`` stamp (:func:`repro.telemetry.tag_scope`
-    on the injection path); events from streams that predate stamping are
-    attributed by walking their span parent chain up to the enclosing
-    ``trial`` span.  A trial the runner re-ran keeps only its last
-    attempt's flips (:func:`repro.telemetry.final_attempt`).
+    __slots__ = ("count", "layers", "bits", "precisions")
+
+    def __init__(self):
+        self.count = 0
+        self.layers: set[str] = set()
+        self.bits: set[int] = set()
+        self.precisions: set[int] = set()
+
+    def __len__(self) -> int:
+        return self.count
+
+    def add(self, locations, bits, precisions) -> None:
+        """Fold in a run of flips given as equal-length columns."""
+        self.count += len(locations)
+        self.layers.update(str(location or "?") for location in set(locations))
+        self.bits.update(int(bit) for bit in set(bits) if bit is not None)
+        self.precisions.update(int(precision) for precision in set(precisions)
+                               if precision is not None)
+
+    def update(self, other: "FlipSummary") -> None:
+        self.count += other.count
+        self.layers |= other.layers
+        self.bits |= other.bits
+        self.precisions |= other.precisions
+
+    @classmethod
+    def of(cls, flips: list[dict]) -> "FlipSummary":
+        """The summary of decoded ``flip`` event attrs."""
+        summary = cls()
+        summary.add([flip.get("location") for flip in flips],
+                    [flip.get("bit_msb") for flip in flips],
+                    [flip.get("precision") for flip in flips])
+        return summary
+
+
+_NO_FLIPS = FlipSummary()
+_UNSTAMPED = object()
+
+
+def flips_by_trial(events) -> dict[str, FlipSummary]:
+    """Each trial's flips, folded into a :class:`FlipSummary`.
+
+    *events* are a stream as written (:func:`repro.telemetry.read_events`):
+    a ``flips`` event folds column by column, never expanded, and the
+    per-flip ``flip`` events of older streams (or decoded ones) fold one
+    by one, so either form of the same flips gives the same summaries.
+    The primary key is the ``trial_id`` stamp
+    (:func:`repro.telemetry.tag_scope` on the injection path); events from
+    streams that predate stamping are attributed by walking their span
+    parent chain up to the enclosing ``trial`` span.  A trial the runner
+    re-ran keeps only its last attempt's flips
+    (:func:`repro.telemetry.final_attempt`).
     """
-    spans = {e.get("span_id"): e for e in events
-             if e.get("type") == "span" and e.get("span_id") is not None}
+    spans: dict = {}  # span_id -> (trial_id attr, parent_id)
+    # runs of flips in stream order: (trial_id, span_id, attempt) and an
+    # event-shaped stub holding the run's attempt tag and summary
+    runs: list[tuple[tuple, dict]] = []
+    for event in events:
+        attrs = event.get("attrs") or {}
+        if event.get("type") == "span":
+            if event.get("span_id") is not None:
+                spans[event["span_id"]] = (attrs.get("trial_id"),
+                                           event.get("parent_id"))
+            continue
+        name = event.get("name")
+        if event.get("type") != "event" or name not in ("flips", "flip"):
+            continue
+        if name == "flips":
+            width = min(len(attrs.get(column, ()))
+                        for column in FLIP_COLUMNS)
+            if not width:
+                continue
+            columns = [attrs[column][:width]
+                       for column in ("location", "bit_msb", "precision")]
+        else:
+            columns = [[attrs.get(column)]
+                       for column in ("location", "bit_msb", "precision")]
+        key = (attrs.get("trial_id"), event.get("span_id"),
+               attrs.get("attempt_id", _UNSTAMPED))
+        if not runs or runs[-1][0] != key:
+            tags = ({} if key[2] is _UNSTAMPED
+                    else {"attempt_id": key[2]})
+            runs.append((key, {"attrs": tags, "flips": FlipSummary()}))
+        runs[-1][1]["flips"].add(*columns)
 
     def from_span_chain(span_id) -> str | None:
         seen: set = set()
         while span_id is not None and span_id not in seen:
             seen.add(span_id)
-            span = spans.get(span_id)
-            if span is None:
+            if span_id not in spans:
                 return None
-            trial_id = (span.get("attrs") or {}).get("trial_id")
+            trial_id, span_id = spans[span_id]
             if trial_id is not None:
                 return str(trial_id)
-            span_id = span.get("parent_id")
         return None
 
     grouped: dict[str, list[dict]] = {}
-    for event in events:
-        if event.get("type") != "event" or event.get("name") != "flip":
-            continue
-        trial_id = (event.get("attrs") or {}).get("trial_id")
+    for (trial_id, span_id, _), stub in runs:
         if trial_id is None:
-            trial_id = from_span_chain(event.get("span_id"))
+            trial_id = from_span_chain(span_id)
         if trial_id is not None:
-            grouped.setdefault(str(trial_id), []).append(event)
-    return {trial_id: [event.get("attrs") or {}
-                       for event in telemetry.final_attempt(flips)]
-            for trial_id, flips in grouped.items()}
+            grouped.setdefault(str(trial_id), []).append(stub)
+    summaries: dict[str, FlipSummary] = {}
+    for trial_id, stubs in grouped.items():
+        summary = summaries[trial_id] = FlipSummary()
+        for stub in telemetry.final_attempt(stubs):
+            summary.update(stub["flips"])
+    return summaries
 
 
-def _unique(values: list, *, multi, empty):
-    distinct = set(values)
+def _unique(distinct: set, *, multi, empty):
     if not distinct:
         return empty
     if len(distinct) > 1:
@@ -92,17 +171,12 @@ def _unique(values: list, *, multi, empty):
     return next(iter(distinct))
 
 
-def derive_row(record: dict, campaign: str,
-               flips: list[dict]) -> dict:
-    """Fold one journal record + its flip provenance into an atlas row."""
+def derive_row(record: dict, campaign: str, flips: FlipSummary) -> dict:
+    """Fold one journal record + its trial's flip summary into an atlas
+    row."""
     payload = record.get("payload") or {}
-    precisions = [int(f["precision"]) for f in flips
-                  if f.get("precision") is not None]
-    bits = [int(f["bit_msb"]) for f in flips
-            if f.get("bit_msb") is not None]
-    layers = [str(f.get("location") or "?") for f in flips]
-    if flips:
-        mode = "single" if len(flips) == 1 else "multi"
+    if flips.count:
+        mode = "single" if flips.count == 1 else "multi"
     else:
         declared = payload.get("flips")
         if declared is None:
@@ -118,9 +192,9 @@ def derive_row(record: dict, campaign: str,
         "trial_id": str(record.get("trial_id") or "?"),
         "model": str(payload.get("model") or "?"),
         "framework": str(payload.get("framework") or "?"),
-        "precision": _unique(precisions, multi=MULTI, empty=UNKNOWN),
-        "layer": _unique(layers, multi="(multi)", empty="?"),
-        "bit": _unique(bits, multi=MULTI, empty=UNKNOWN),
+        "precision": _unique(flips.precisions, multi=MULTI, empty=UNKNOWN),
+        "layer": _unique(flips.layers, multi="(multi)", empty="?"),
+        "bit": _unique(flips.bits, multi=MULTI, empty=UNKNOWN),
         "mode": mode,
         "outcome": str(outcome),
         "status": str(record.get("status") or "?"),
@@ -134,7 +208,7 @@ class AtlasIngester:
     def __init__(self, store: AtlasStore):
         self.store = store
         self.sources: dict[str, JournalSource] = {}
-        self._event_cache: dict[tuple[str, ...], list[dict]] = {}
+        self._flip_cache: dict[tuple[str, ...], dict[str, FlipSummary]] = {}
 
     # -- registration ------------------------------------------------------
 
@@ -186,13 +260,14 @@ class AtlasIngester:
 
     # -- ingestion ---------------------------------------------------------
 
-    def _events(self, source: JournalSource) -> list[dict]:
-        cached = self._event_cache.get(source.telemetry_paths)
+    def _flips(self, source: JournalSource) -> dict[str, FlipSummary]:
+        """Per-trial flip summaries of *source*'s telemetry streams, read
+        once per ingest for every journal that shares them."""
+        cached = self._flip_cache.get(source.telemetry_paths)
         if cached is None:
-            cached = []
-            for path in source.telemetry_paths:
-                cached.extend(telemetry.load_events(path))
-            self._event_cache[source.telemetry_paths] = cached
+            cached = flips_by_trial(itertools.chain.from_iterable(
+                map(telemetry.read_events, source.telemetry_paths)))
+            self._flip_cache[source.telemetry_paths] = cached
         return cached
 
     def ingest(self) -> dict:
@@ -221,9 +296,10 @@ class AtlasIngester:
                 if not pairs or tail.consumed == entry.get("consumed"):
                     continue  # nothing new past the last complete line
                 stats["sources"] += 1
-                flips = flips_by_trial(self._events(source))
+                flips = self._flips(source)
                 rows = [derive_row(record, source.campaign,
-                                   flips.get(str(record.get("trial_id")), []))
+                                   flips.get(str(record.get("trial_id")),
+                                             _NO_FLIPS))
                         for record, _ in pairs]
                 fresh = len(rows) - (int(entry["rows"]) -
                                      int(entry["full_rows"]))

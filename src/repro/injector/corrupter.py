@@ -190,13 +190,11 @@ class CheckpointCorrupter:
             config, sum(dataset.size for dataset in datasets))
         targets = [dataset_target(dataset, config) for dataset in datasets]
         plan = sample_plan(self.rng, config, targets, attempts)
-        records, counters = apply_plan(plan, DatasetStore(datasets),
-                                       self.rng, engine=self.engine)
-
-        log = InjectionLog(config=config.to_dict())
-        log.records.extend(records)
+        flips, counters = apply_plan(plan, DatasetStore(datasets),
+                                     self.rng, engine=self.engine)
         return CorruptionResult(
-            log=log, attempts=attempts, successes=counters.successes,
+            log=InjectionLog(config=config.to_dict(), flips=flips),
+            attempts=attempts, successes=counters.successes,
             skipped_probability=counters.skipped_probability,
             skipped_retries=counters.skipped_retries,
             nev_introduced=counters.nev_introduced, locations=locations,

@@ -19,7 +19,10 @@ every injector front end (checkpoint files, live models):
    index repeated within a round.  It falls back to the ordinal-ordered
    scalar path only where batching cannot be exact: integer flips
    (data-dependent draws) and NaN/extreme-guard offenders (retry draws),
-   together with the later attempts on an offender's index.
+   together with the later attempts on an offender's index.  The applied
+   flips come back as one columnar :class:`~repro.injector.log.FlipSet`:
+   the rounds keep the arrays they computed, and element-wise flips join
+   them as rows, merged by attempt ordinal.
 
 Both engines consume apply-stage randomness in the same global attempt
 order, so for any seed they produce **bit-identical** files, logs, and
@@ -39,7 +42,7 @@ import numpy.ma  # noqa: F401
 from .. import telemetry
 from . import bitops
 from .config import InjectorConfig
-from .log import InjectionRecord
+from .log import FLIP_ARRAYS, FlipSet
 
 
 class CorruptionError(RuntimeError):
@@ -317,91 +320,103 @@ class ApplyCounters:
 
 
 def apply_plan(plan: InjectionPlan, store, rng: np.random.Generator,
-               engine: str = "vectorized"
-               ) -> tuple[list[InjectionRecord], ApplyCounters]:
-    """Execute *plan* against *store*, returning (records, counters).
+               engine: str = "vectorized") -> tuple[FlipSet, ApplyCounters]:
+    """Execute *plan* against *store*, returning (flips, counters).
 
-    Records come back in attempt order regardless of engine; fallback
-    (read/modify/write) arrays are committed before returning.
+    The flips come back as one :class:`~repro.injector.log.FlipSet` in
+    attempt order regardless of engine; fallback (read/modify/write) arrays
+    are committed before returning.  Every accepted attempt either applies
+    one flip or is retry-skipped, so the counters follow from the flips.
     """
     validate_engine(engine)
     with telemetry.span("inject.apply", engine=engine,
                         attempts=plan.attempts) as apply_span:
-        if engine == "scalar":
-            records, counters = _apply_scalar(plan, store, rng)
-        else:
-            records, counters = _apply_vectorized(plan, store, rng)
+        apply = _apply_scalar if engine == "scalar" else _apply_vectorized
+        parts = apply(plan, store, rng)
         store.finalize()
+        flips = FlipSet.merge(
+            [_record_template(target, plan.config) for target in plan.targets],
+            parts)
+        accepted = int(plan.accepts.sum())
+        counters = ApplyCounters(
+            successes=len(flips),
+            skipped_probability=plan.attempts - accepted,
+            skipped_retries=accepted - len(flips),
+            nev_introduced=int(
+                bitops.is_nan_or_inf_array(flips.new_value).sum()))
         if telemetry.enabled():
-            touched = sum(r.precision for r in records) // 8
+            touched = sum(flips.column("precision")) // 8
             telemetry.count("inject.bytes_touched", touched)
             apply_span.set(successes=counters.successes,
                            nev_introduced=counters.nev_introduced,
                            bytes_touched=touched)
             # per-flip provenance: which layer, which bit, what changed, as
             # one ``flips`` event of columns.  Emitted identically by both
-            # engines (records are already in attempt order), after the
+            # engines (the flips are already in attempt order), after the
             # mutation — never on the apply path, so instrumented campaigns
             # stay bit-identical.
-            telemetry.emit_flips(records)
-    return records, counters
+            telemetry.emit_flips(flips)
+    return flips, counters
+
+
+def _record_template(target: PlanTarget, config) -> tuple[dict, str | None]:
+    """The record fields every flip on *target* shares, and the field each
+    flip's own corruption parameter fills (``None`` when there is none)."""
+    mode = config.corruption_mode
+    shared = {"location": target.name, "kind": mode,
+              "precision": target.precision, "bit_msb": None, "mask": None,
+              "shift": None, "factor": None}
+    if target.kind in ("i", "u"):
+        shared.update(kind="integer", precision=target.dtype.itemsize * 8)
+    elif mode == "bit_range":
+        return shared, "bit_msb"
+    elif mode == "bit_mask":
+        width = bitops.mask_width(config.bit_mask)
+        shared["mask"] = format(bitops.parse_mask(config.bit_mask),
+                                f"0{width}b")
+        return shared, "shift"
+    elif mode == "scaling_factor":
+        shared["factor"] = config.scaling_factor
+    elif mode == "stuck_at" and target.precision:
+        shared.update(bit_msb=min(config.stuck_bit, target.precision - 1),
+                      shift=config.stuck_value)
+    return shared, None
+
+
+def _rows_part(rows) -> tuple:
+    """Element-wise flips (tuples in :data:`FLIP_ARRAYS` order, ``None``
+    for an attempt that applied nothing) as arrays."""
+    rows = [row for row in rows if row is not None]
+    return tuple(np.array([row[k] for row in rows], dtype=dtype)
+                 for k, (_, dtype) in enumerate(FLIP_ARRAYS))
 
 
 def _apply_scalar(plan, store, rng):
-    config = plan.config
-    counters = ApplyCounters()
-    records: list[InjectionRecord] = []
-    for i in range(plan.attempts):
-        if not plan.accepts[i]:
-            counters.skipped_probability += 1
-            continue
-        t_idx = int(plan.locations[i])
-        target = plan.targets[t_idx]
-        index = int(plan.indices[i])
-        if target.kind in ("i", "u"):
-            records.append(_apply_integer(store, t_idx, target, index, rng))
-            counters.successes += 1
-            continue
-        if target.kind != "f" or target.precision is None:
-            counters.skipped_retries += 1
-            continue
-        record = _apply_float(store, t_idx, target, index,
-                              int(plan.draws[i]), rng, config)
-        if record is None:
-            counters.skipped_retries += 1
-            continue
-        counters.successes += 1
-        if bitops.is_nan_or_inf(record.new_value):
-            counters.nev_introduced += 1
-        records.append(record)
-    return records, counters
+    return [_rows_part(_apply_one(store, plan, i, rng)
+                       for i in np.flatnonzero(plan.accepts).tolist())]
 
 
 def _apply_vectorized(plan, store, rng):
-    config = plan.config
     targets = plan.targets
-    n = plan.attempts
-    counters = ApplyCounters()
-    slots: list[InjectionRecord | None] = [None] * n
-    if n == 0:
-        return [], counters
+    if plan.attempts == 0:
+        return []
     acc = plan.accepts
     loc = plan.locations
-    counters.skipped_probability = int(n - acc.sum())
 
     kinds = np.array([t.kind for t in targets])
     precs = np.array([t.precision or 0 for t in targets], dtype=np.int64)
     is_int = acc & np.isin(kinds[loc], ("i", "u"))
     is_float = acc & (kinds[loc] == "f") & (precs[loc] > 0)
-    counters.skipped_retries += int((acc & ~is_int & ~is_float).sum())
 
     # Batch phase: per dataset, apply the float attempts in rounds of
     # unique flat indices; guard offenders go to the sequential queue.
+    parts = []
     sequential: list[int] = np.flatnonzero(is_int).tolist()
     for t_idx in np.unique(loc[is_float]):
-        sequential.extend(_apply_rounds(
-            plan, store, int(t_idx), np.flatnonzero(is_float & (loc == t_idx)),
-            slots, counters))
+        part, diverted = _apply_rounds(
+            plan, store, int(t_idx), np.flatnonzero(is_float & (loc == t_idx)))
+        parts.append(part)
+        sequential.extend(diverted)
 
     # Sequential phase, in global attempt order — the only consumer of
     # apply-stage RNG (integer widths, guard retries), so draw order
@@ -412,24 +427,9 @@ def _apply_vectorized(plan, store, rng):
     telemetry.count("inject.sequential_fallback",
                     len(sequential) - int(is_int.sum()))
     access = _FlatAccess(store)
-    for i in sorted(sequential):
-        t_idx = int(loc[i])
-        target = targets[t_idx]
-        index = int(plan.indices[i])
-        if target.kind in ("i", "u"):
-            slots[i] = _apply_integer(access, t_idx, target, index, rng)
-            counters.successes += 1
-            continue
-        record = _apply_float(access, t_idx, target, index,
-                              int(plan.draws[i]), rng, config)
-        if record is None:
-            counters.skipped_retries += 1
-            continue
-        counters.successes += 1
-        if bitops.is_nan_or_inf(record.new_value):
-            counters.nev_introduced += 1
-        slots[i] = record
-    return [record for record in slots if record is not None], counters
+    parts.append(_rows_part(_apply_one(access, plan, i, rng)
+                            for i in sorted(sequential)))
+    return parts
 
 
 # -- shared element-wise pieces ---------------------------------------------
@@ -444,35 +444,20 @@ def _draw_param(rng, config, precision: int) -> int:
     return -1
 
 
-def _float_candidate(old, precision: int, config,
-                     param: int) -> tuple[np.floating, InjectionRecord]:
+def _float_candidate(old, precision: int, config, param: int) -> np.floating:
     mode = config.corruption_mode
     if mode == "bit_range":
-        bit_lsb = bitops.msb_to_lsb(param, precision)
-        new = bitops.flip_bit(old, bit_lsb, precision)
-        record = InjectionRecord(
-            location="", flat_index=-1, kind="bit_range",
-            precision=precision, bit_msb=param,
-        )
-    elif mode == "bit_mask":
-        mask = bitops.parse_mask(config.bit_mask)
-        width = bitops.mask_width(config.bit_mask)
-        new = bitops.apply_xor_mask(old, mask, param, precision)
-        record = InjectionRecord(
-            location="", flat_index=-1, kind="bit_mask",
-            precision=precision, mask=format(mask, f"0{width}b"),
-            shift=param,
-        )
-    elif mode == "scaling_factor":
+        return bitops.flip_bit(old, bitops.msb_to_lsb(param, precision),
+                               precision)
+    if mode == "bit_mask":
+        return bitops.apply_xor_mask(old, bitops.parse_mask(config.bit_mask),
+                                     param, precision)
+    if mode == "scaling_factor":
         dtype = bitops.dtype_for_precision(precision)
         with np.errstate(over="ignore", invalid="ignore"):
-            new = (np.asarray(old, dtype=dtype)
-                   * dtype.type(config.scaling_factor))[()]
-        record = InjectionRecord(
-            location="", flat_index=-1, kind="scaling_factor",
-            precision=precision, factor=config.scaling_factor,
-        )
-    elif mode == "stuck_at":
+            return (np.asarray(old, dtype=dtype)
+                    * dtype.type(config.scaling_factor))[()]
+    if mode == "stuck_at":
         bit_msb = min(config.stuck_bit, precision - 1)
         bit_lsb = bitops.msb_to_lsb(bit_msb, precision)
         bits = bitops.float_to_bits(old, precision)
@@ -480,30 +465,29 @@ def _float_candidate(old, precision: int, config,
             bits |= 1 << bit_lsb
         else:
             bits &= ~(1 << bit_lsb)
-        new = bitops.bits_to_float(bits, precision)
-        record = InjectionRecord(
-            location="", flat_index=-1, kind="stuck_at",
-            precision=precision, bit_msb=bit_msb,
-            shift=config.stuck_value,
-        )
-    elif mode == "zero_value":
-        dtype = bitops.dtype_for_precision(precision)
-        new = dtype.type(0.0)
-        record = InjectionRecord(
-            location="", flat_index=-1, kind="zero_value",
-            precision=precision,
-        )
-    else:  # pragma: no cover - config validation prevents this
-        raise CorruptionError(f"unknown corruption mode: {mode!r}")
-    record.old_bits = format(bitops.float_to_bits(old, precision), "x")
-    record.new_bits = format(bitops.float_to_bits(new, precision), "x")
-    record.old_value = float(old)
-    record.new_value = float(new)
-    return new, record
+        return bitops.bits_to_float(bits, precision)
+    if mode == "zero_value":
+        return bitops.dtype_for_precision(precision).type(0.0)
+    raise CorruptionError(f"unknown corruption mode: {mode!r}")  # pragma: no cover
 
 
-def _apply_float(store, t_idx: int, target: PlanTarget, index: int,
-                 planned_param: int, rng, config) -> InjectionRecord | None:
+def _apply_one(store, plan, i: int, rng) -> tuple | None:
+    """Apply attempt *i* through element reads and writes; its flip as a
+    row in :data:`~repro.injector.log.FLIP_ARRAYS` order, or ``None`` when
+    it applies nothing."""
+    t_idx = int(plan.locations[i])
+    target = plan.targets[t_idx]
+    index = int(plan.indices[i])
+    if target.kind in ("i", "u"):
+        return _apply_integer(store, i, t_idx, target, index, rng)
+    if target.kind != "f" or target.precision is None:
+        return None
+    return _apply_float(store, i, t_idx, target, index, int(plan.draws[i]),
+                        rng, plan.config)
+
+
+def _apply_float(store, i: int, t_idx: int, target: PlanTarget, index: int,
+                 planned_param: int, rng, config) -> tuple | None:
     precision = target.precision
     old = store.read_element(t_idx, index)
     draw_free = config.corruption_mode in ("scaling_factor", "stuck_at",
@@ -513,7 +497,7 @@ def _apply_float(store, t_idx: int, target: PlanTarget, index: int,
             telemetry.count("inject.guard_retries")
         param = planned_param if attempt == 1 else _draw_param(rng, config,
                                                                precision)
-        new, record = _float_candidate(old, precision, config, param)
+        new = _float_candidate(old, precision, config, param)
         if not config.allow_NaN_values and bitops.is_nan_or_inf(new):
             if draw_free:
                 return None  # retrying recomputes the same value
@@ -524,15 +508,14 @@ def _apply_float(store, t_idx: int, target: PlanTarget, index: int,
                 return None
             continue
         store.write_element(t_idx, index, new)
-        record.location = target.name
-        record.flat_index = index
-        record.attempts = attempt
-        return record
+        return (i, t_idx, index, param, attempt,
+                bitops.float_to_bits(old, precision),
+                bitops.float_to_bits(new, precision), float(old), float(new))
     return None
 
 
-def _apply_integer(store, t_idx: int, target: PlanTarget, index: int,
-                   rng) -> InjectionRecord:
+def _apply_integer(store, i: int, t_idx: int, target: PlanTarget, index: int,
+                   rng) -> tuple:
     old = int(store.read_element(t_idx, index))
     new = bitops.flip_integer_bit(old, rng)
     info = np.iinfo(target.dtype)
@@ -541,13 +524,9 @@ def _apply_integer(store, t_idx: int, target: PlanTarget, index: int,
         # a store of the raw bits would.
         new = int(np.asarray(new).astype(target.dtype)[()])
     store.write_element(t_idx, index, new)
-    return InjectionRecord(
-        location=target.name, flat_index=index, kind="integer",
-        precision=target.dtype.itemsize * 8,
-        old_bits=format(old & ((1 << 64) - 1), "x"),
-        new_bits=format(new & ((1 << 64) - 1), "x"),
-        old_value=float(old), new_value=float(new),
-    )
+    mask = (1 << 64) - 1
+    return (i, t_idx, index, -1, 1, old & mask, new & mask, float(old),
+            float(new))
 
 
 # -- batched pieces ----------------------------------------------------------
@@ -572,8 +551,8 @@ def _batch_candidates(olds: np.ndarray, precision: int, draws: np.ndarray,
     raise CorruptionError(f"unknown corruption mode: {mode!r}")  # pragma: no cover
 
 
-def _apply_rounds(plan, store, t_idx: int, ordinals: np.ndarray, slots,
-                  counters) -> list[int]:
+def _apply_rounds(plan, store, t_idx: int,
+                  ordinals: np.ndarray) -> tuple[tuple, list[int]]:
     """Apply one target's float attempts (*ordinals*) in array rounds.
 
     Round *r* holds every attempt that is the *r*-th, in attempt order, on
@@ -582,10 +561,11 @@ def _apply_rounds(plan, store, t_idx: int, ordinals: np.ndarray, slots,
     scalar engine's read-after-write chain.  A guard offender leaves the
     rounds, and so does every later attempt on its index; the returned
     ordinals run sequentially, where the offender's retry draws happen in
-    global attempt order.
+    global attempt order.  The applied flips come back as arrays in
+    :data:`~repro.injector.log.FLIP_ARRAYS` order.
     """
     config = plan.config
-    target = plan.targets[t_idx]
+    precision = plan.targets[t_idx].precision
     idx = plan.indices[ordinals]
     # each attempt's rank among the attempts on its index, in attempt
     # order: its position in a stable sort by index, minus its group's
@@ -610,7 +590,7 @@ def _apply_rounds(plan, store, t_idx: int, ordinals: np.ndarray, slots,
             members = members[~diverted[members]]
         at = idx[members]
         old = flat[at]
-        new = _batch_candidates(old, target.precision,
+        new = _batch_candidates(old, precision,
                                 plan.draws[ordinals[members]], config)
         bad = _guard_violations(new, config)
         if bad.any():
@@ -622,12 +602,16 @@ def _apply_rounds(plan, store, t_idx: int, ordinals: np.ndarray, slots,
         applied.append(members)
         olds.append(old)
         news.append(new)
-    done = ordinals[np.concatenate(applied)]
+    members = np.concatenate(applied)
+    done = ordinals[members]
+    olds = np.concatenate(olds)
     news = np.concatenate(news)
-    counters.successes += len(done)
-    counters.nev_introduced += int(bitops.is_nan_or_inf_array(news).sum())
-    _fill_records(slots, done, plan, target, np.concatenate(olds), news)
-    return ordinals[diverted].tolist()
+    part = (done, np.full(len(done), t_idx), idx[members], plan.draws[done],
+            np.ones(len(done), dtype=np.int64),
+            bitops.float_to_bits_array(olds, precision),
+            bitops.float_to_bits_array(news, precision),
+            olds.astype(np.float64), news.astype(np.float64))
+    return part, ordinals[diverted].tolist()
 
 
 def _guard_violations(news: np.ndarray, config) -> np.ndarray:
@@ -637,56 +621,3 @@ def _guard_violations(news: np.ndarray, config) -> np.ndarray:
     if config.extreme_guard is not None:
         bad |= bitops.is_extreme_array(news, config.extreme_guard)
     return bad
-
-
-def _fill_records(slots, ordinals, plan, target, olds, news) -> None:
-    """Batch-build the records for one target's accepted float attempts.
-
-    Hot path: at 1k+ attempts, record construction rivals the array kernels
-    in cost, so records are assembled from pre-listified columns and
-    instantiated via ``__new__`` + ``__dict__`` rather than the dataclass
-    ``__init__`` — same field values, a fraction of the per-record work.
-    """
-    config = plan.config
-    precision = target.precision
-    mode = config.corruption_mode
-    old_bits = bitops.float_to_bits_array(olds, precision).tolist()
-    new_bits = bitops.float_to_bits_array(news, precision).tolist()
-    old_values = np.asarray(olds, dtype=np.float64).tolist()
-    new_values = np.asarray(news, dtype=np.float64).tolist()
-    ordinal_arr = np.asarray(ordinals, dtype=np.int64)
-    ordinal_list = ordinal_arr.tolist()
-    flat_indices = plan.indices[ordinal_arr].tolist()
-
-    base = {"location": target.name, "kind": mode, "precision": precision,
-            "bit_msb": None, "mask": None, "shift": None, "factor": None,
-            "attempts": 1}
-    draw_key = None
-    draw_list = None
-    if mode == "bit_range":
-        draw_key = "bit_msb"
-        draw_list = plan.draws[ordinal_arr].tolist()
-    elif mode == "bit_mask":
-        mask = bitops.parse_mask(config.bit_mask)
-        base["mask"] = format(mask, f"0{bitops.mask_width(config.bit_mask)}b")
-        draw_key = "shift"
-        draw_list = plan.draws[ordinal_arr].tolist()
-    elif mode == "scaling_factor":
-        base["factor"] = config.scaling_factor
-    elif mode == "stuck_at":
-        base["bit_msb"] = min(config.stuck_bit, precision - 1)
-        base["shift"] = config.stuck_value
-
-    new = InjectionRecord.__new__
-    for j, i in enumerate(ordinal_list):
-        record = new(InjectionRecord)
-        fields = dict(base)
-        fields["flat_index"] = flat_indices[j]
-        fields["old_bits"] = "%x" % old_bits[j]
-        fields["new_bits"] = "%x" % new_bits[j]
-        fields["old_value"] = old_values[j]
-        fields["new_value"] = new_values[j]
-        if draw_key is not None:
-            fields[draw_key] = draw_list[j]
-        record.__dict__ = fields
-        slots[i] = record

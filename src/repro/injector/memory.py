@@ -94,13 +94,11 @@ class ModelCorrupter:
                    for name in names]
         plan = sample_plan(self.rng, config, targets, attempts)
         store = ArrayStore([arrays[name] for name in names])
-        records, counters = apply_plan(plan, store, self.rng,
-                                       engine=self.engine)
-
-        log = InjectionLog(config=config.to_dict())
-        log.records.extend(records)
+        flips, counters = apply_plan(plan, store, self.rng,
+                                     engine=self.engine)
         return CorruptionResult(
-            log=log, attempts=attempts, successes=counters.successes,
+            log=InjectionLog(config=config.to_dict(), flips=flips),
+            attempts=attempts, successes=counters.successes,
             skipped_probability=counters.skipped_probability,
             skipped_retries=counters.skipped_retries,
             nev_introduced=counters.nev_introduced, locations=names,

@@ -368,6 +368,22 @@ class LocalResponseNorm(Layer):
         return (direct + cross).reshape(orig)
 
 
+def _channel_mean(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """``x.mean(axis=(1, 3, 4), keepdims=keepdims)`` without numpy's Python
+    wrapper: ``numpy._core._methods._mean``'s own steps, bit for bit — the
+    sum (in float32 for float16 input), an in-place divide by the item
+    count, and for float16 a cast back.  ``_mean`` divides by an ``intp``,
+    which runs the divide in float64 and rounds back; a Python ``int``
+    keeps it in the sum's dtype, and a float32 quotient rounded once from
+    float64 is the correctly rounded float32 quotient (53 >= 2 * 24 + 2),
+    so the bytes are the same."""
+    half = x.dtype.type is np.float16
+    total = np.add.reduce(x, axis=(1, 3, 4), dtype=np.float32 if half else None,
+                          keepdims=keepdims)
+    np.true_divide(total, x.shape[1] * x.shape[3] * x.shape[4], out=total)
+    return total.astype(np.float16) if half else total
+
+
 class BatchNorm2D(Layer):
     """Batch normalization over NCHW channels with running statistics.
 
@@ -401,9 +417,9 @@ class BatchNorm2D(Layer):
             # one explicit centering pass shared by the variance and x_hat;
             # bitwise it is exactly ``x.var`` (same subtract, same pairwise
             # sum over the same layout), minus two redundant passes over x
-            mean = x.mean(axis=(1, 3, 4))
+            mean = _channel_mean(x)
             delta = x - mean[:, None, :, None, None]
-            var = (delta * delta).mean(axis=(1, 3, 4))
+            var = _channel_mean(delta * delta)
             for key, batch in (("running_mean", mean), ("running_var", var)):
                 running = self._lift(self.state[key]).astype(compute,
                                                              copy=False)
@@ -432,10 +448,10 @@ class BatchNorm2D(Layer):
         self._store(self.grads, "gamma", scratch.sum(axis=(1, 3, 4)))
         self._store(self.grads, "beta", grad.sum(axis=(1, 3, 4)))
         dx_hat = grad * self._param("gamma")[:, None, :, None, None]
-        term2 = dx_hat.mean(axis=(1, 3, 4), keepdims=True)
+        term2 = _channel_mean(dx_hat, keepdims=True)
         cross = np.multiply(dx_hat, x_hat, out=scratch)
         term3 = np.multiply(
-            x_hat, cross.mean(axis=(1, 3, 4), keepdims=True), out=scratch
+            x_hat, _channel_mean(cross, keepdims=True), out=scratch
         )
         out = np.subtract(dx_hat, term2, out=dx_hat)
         np.subtract(out, term3, out=out)

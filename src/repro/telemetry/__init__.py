@@ -13,8 +13,11 @@ the repo a single shared notion of *what happened when*:
   stream next to the trial journal, :class:`InMemorySink` backs the tests,
   :class:`NullSink` measures instrumentation overhead.
 * **Flip provenance** travels as one ``flips`` event of columns per
-  injection (:func:`emit_flips`); :func:`load_events` and
-  :func:`decode_events` hand readers one ``flip`` event per flip.
+  injection (:func:`emit_flips`, written from the injector's columnar flip
+  set).  :func:`read_events` parses a stream as written, columns and all
+  (the atlas ingest folds those); :func:`load_events` and
+  :func:`decode_events` hand every other reader one ``flip`` event per
+  flip.
 * **Exporters** turn a finished stream into a Prometheus exposition
   (:func:`prometheus_exposition`) or a Chrome ``trace_event`` flamegraph
   (:func:`chrome_trace`); :class:`CampaignTelemetry` renders the
@@ -42,6 +45,7 @@ from .aggregate import (
     final_attempt,
     load_events,
     merge_metrics,
+    read_events,
 )
 from .core import (
     NOOP_SPAN,
@@ -137,6 +141,7 @@ __all__ = [
     "pipeline",
     "prom_sample",
     "prometheus_exposition",
+    "read_events",
     "setup_logging",
     "shutdown",
     "span",

@@ -9,10 +9,14 @@ did each fault do to its training curve.
 Flip provenance has a wire format and a decoded form, both owned here.
 The injector writes one ``flips`` event per application
 (:func:`emit_flips`): its attrs are equal-length columns, one entry per
-applied flip, in attempt order.  :func:`decode_events` — and so
-:func:`load_events` — turns each ``flips`` event back into one ``flip``
-event per flip, the form every analysis reads.  :func:`final_attempt`
-drops the events of attempts the runner superseded.
+applied flip, in attempt order, written straight from the injector's
+columnar flip set.  :func:`read_events` parses a stream as written;
+:func:`decode_events` — and so :func:`load_events`, which is the two in
+sequence — turns each ``flips`` event back into one ``flip`` event per
+flip, the form the analyses and reports read.  The atlas ingest reads the
+columns as written instead (one parsed line per trial, not one event per
+flip).  :func:`final_attempt` drops the events of attempts the runner
+superseded.
 
 Metric merging rules (the counterpart of the registry's flush semantics):
 snapshots are cumulative per process, so the aggregator keeps the **last**
@@ -38,15 +42,15 @@ FLIP_COLUMNS = ("location", "flat_index", "kind", "precision", "bit_msb",
                 "old_value", "new_value")
 
 
-def emit_flips(records) -> None:
-    """Emit *records* (``InjectionRecord``s) as one ``flips`` event.
+def emit_flips(flips) -> None:
+    """Emit *flips* (a :class:`repro.injector.log.FlipSet`) as one
+    ``flips`` event: one list per :data:`FLIP_COLUMNS` name.
 
-    Nothing is emitted for no records.  Ambient tags ride along as usual.
+    Nothing is emitted for no flips.  Ambient tags ride along as usual.
     """
-    if records:
-        core.event("flips", **{
-            name: [getattr(record, name) for record in records]
-            for name in FLIP_COLUMNS})
+    if len(flips):
+        core.event("flips", **{name: flips.column(name)
+                               for name in FLIP_COLUMNS})
 
 
 def _expand_flips(packed: dict) -> list[dict]:
@@ -96,17 +100,17 @@ def final_attempt(events: list[dict]) -> list[dict]:
             if (item.get("attrs") or {}).get("attempt_id", last) == last]
 
 
-def load_events(path: str) -> list[dict]:
-    """Parse a JSONL event stream, skipping unparseable lines, and decode
-    it (:func:`decode_events`).
+def read_events(path: str):
+    """Iterate the events of a JSONL stream as written, in order, skipping
+    unparseable lines; ``flips`` events stay packed.  A missing file
+    yields nothing.
 
     Telemetry is best-effort observability: a line torn by a crash (or by
     an interleaved write from a pathological filesystem) is dropped rather
     than failing the analysis.
     """
     if not os.path.exists(path):
-        return []
-    events: list[dict] = []
+        return
     with open(path, encoding="utf-8") as handle:
         for line in handle:
             line = line.strip()
@@ -117,8 +121,13 @@ def load_events(path: str) -> list[dict]:
             except json.JSONDecodeError:
                 continue
             if isinstance(parsed, dict):
-                events.append(parsed)
-    return decode_events(events)
+                yield parsed
+
+
+def load_events(path: str) -> list[dict]:
+    """A JSONL event stream, decoded: :func:`read_events` followed by
+    :func:`decode_events`."""
+    return decode_events(read_events(path))
 
 
 def merge_metrics(events: list[dict]) -> dict[str, dict]:

@@ -3,11 +3,13 @@
 The vectorized engine is only admissible because the scalar path stays
 available as an oracle.  These tests drive both engines from the same seed
 over the same checkpoint and require the *entire observable outcome* to
-match: every byte of the corrupted file, every log record field, and every
-summary counter — across all corruption modes, precisions, probability
-skips, guard retries, duplicate-prone tiny datasets, and integer datasets.
+match: every byte of the corrupted file, every column of the applied flips
+and every log record field built from them, and every summary counter —
+across all corruption modes, precisions, probability skips, guard retries,
+duplicate-prone tiny datasets, and integer datasets.
 """
 
+import gc
 import itertools
 import os
 import tempfile
@@ -21,10 +23,12 @@ from repro import hdf5, telemetry
 from repro.injector import (
     CheckpointCorrupter,
     CorruptionError,
+    InjectionRecord,
     InjectorConfig,
     ReplayConfig,
     replay_log,
 )
+from repro.injector.log import FLIP_ARRAYS
 
 MODES = ["bit_range", "bit_mask", "scaling_factor", "stuck_at", "zero_value"]
 
@@ -74,6 +78,12 @@ def assert_engines_identical(**config_kwargs) -> int:
         finally:
             telemetry.shutdown()
     assert scalar_bytes == vector_bytes
+    # the flips as both engines hand them over: columns in attempt order
+    # (``ordinal``), byte for byte, and the per-target record templates
+    assert scalar.log.flips.templates == vector.log.flips.templates
+    for name, _ in FLIP_ARRAYS:
+        assert getattr(scalar.log.flips, name).tobytes() == \
+            getattr(vector.log.flips, name).tobytes(), name
     # repr-compare: exact for floats, and NaN == NaN textually
     assert list(map(repr, scalar.log.records)) == \
         list(map(repr, vector.log.records))
@@ -150,6 +160,30 @@ class TestEveryMode:
                     CheckpointCorrupter(config, engine=engine).corrupt()
                 with open(path, "rb") as fh:
                     assert fh.read() == before
+
+
+def live_records() -> int:
+    gc.collect()
+    return sum(isinstance(obj, InjectionRecord) for obj in gc.get_objects())
+
+
+class TestColumnarFlips:
+    def test_records_are_built_only_when_read(self, tmp_path):
+        """A 1000-flip campaign holds its flips as columns: no
+        ``InjectionRecord`` exists until a caller reads the records, and
+        those are then exactly the scalar engine's."""
+        config = dict(corruption_mode="bit_range", injection_attempts=1000,
+                      seed=6)
+        assert not telemetry.enabled()
+        before = live_records()
+        vector, _ = run_engine(str(tmp_path), "vectorized", **config)
+        assert vector.successes == len(vector.log) == 1000
+        assert live_records() == before
+        scalar, _ = run_engine(str(tmp_path), "scalar", **config)
+        assert list(map(repr, vector.log.records)) == \
+            list(map(repr, scalar.log.records))
+        assert live_records() == before + 2000
+        assert vector.log.flips is None  # the records are the log now
 
 
 class TestReplayEquivalence:

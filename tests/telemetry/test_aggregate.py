@@ -66,6 +66,23 @@ def test_load_events_decodes_flips_and_keeps_old_flip_lines(tmp_path):
     assert telemetry.decode_events(events) == events
 
 
+def test_load_events_is_read_events_then_decode_events(tmp_path):
+    packed = {"type": "event", "name": "flips", "pid": 2, "ts": 5.0,
+              "attrs": {"trial_id": "t/1", "location": ["a/W", "b/b"],
+                        "flat_index": [3, 0], "kind": ["bit_range"] * 2,
+                        "precision": [32, 32], "bit_msb": [4, 9],
+                        "old_value": [0.5, 7.0], "new_value": [-0.5, 6.0]}}
+    path = tmp_path / "events.jsonl"
+    path.write_text(json.dumps({"type": "span", "name": "a"}) + "\n"
+                    + json.dumps(packed) + "\n" + '{"torn": ')
+    raw = list(telemetry.read_events(str(path)))
+    assert raw == [{"type": "span", "name": "a"}, packed]
+    assert telemetry.decode_events(telemetry.read_events(str(path))) == \
+        load_events(str(path))
+    assert len(load_events(str(path))) == 3
+    assert list(telemetry.read_events(str(tmp_path / "absent.jsonl"))) == []
+
+
 def test_final_attempt_keeps_the_last_stamp_and_unstamped_events():
     first = _flip({"attempt_id": "a.1", "location": "x"})
     unstamped = _flip({"location": "y"})
