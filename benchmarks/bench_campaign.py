@@ -1,9 +1,10 @@
 """Campaign engine throughput: sequential vs. parallel trial execution.
 
 Runs the same smoke-scale Table V cell through the campaign engine with
-``workers=1`` and ``workers=4`` and reports trials/s for each (the outcomes
-are asserted bit-identical — parallelism must never change results).  Set
-``REPRO_BENCH_WORKERS`` to change the parallel width.
+``workers=1`` (one trial at a time, ``batch_trials=1``) and ``workers=4``
+and reports trials/s for each (the outcomes are asserted bit-identical —
+parallelism must never change results).  Set ``REPRO_BENCH_WORKERS`` to
+change the parallel width.
 
 Also the home of the telemetry overhead regression: instrumentation is a
 ``None`` check when disabled and cheap timestamping when enabled, and
@@ -31,14 +32,15 @@ def test_campaign_sequential_throughput(benchmark, tmp_path):
     run_experiment("table5", cache=cache, **CELL)  # warm the baselines
     result = run_once(
         benchmark,
-        lambda: run_experiment("table5", cache=cache, workers=1, **CELL),
+        lambda: run_experiment("table5", cache=cache, workers=1,
+                               batch_trials=1, **CELL),
     )
     campaign = result.extra["campaign"]
     print(f"\nsequential: {campaign['trials_per_second']} trials/s "
           f"({campaign['total']} trials)")
     assert campaign["failed"] == 0
     write_bench_result(
-        "campaign_sequential", dict(CELL, workers=1),
+        "campaign_sequential", dict(CELL, workers=1, batch_trials=1),
         campaign["wall_time"],
         {"trials": campaign["total"],
          "trials_per_second": campaign["trials_per_second"]},

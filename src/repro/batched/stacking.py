@@ -10,7 +10,10 @@ one trial's arrays as a stack of one.
 
 Stacking is performed **in place onto the first replica** (``np.stack``
 copies the bytes, so the result shares no storage with the donors, but the
-donors are consumed — their layer objects are the result's layer objects).
+donors are consumed — their layer objects are the result's layer objects,
+and every other replica's arrays are dropped once stacked, so a stack of T
+holds one copy of each trial's weights however long its caller keeps the
+replica lists).
 Slice ``t`` of every stacked array is bitwise replica ``t``'s array, which
 is the invariant the bit-identity oracle battery locks down.
 """
@@ -54,6 +57,10 @@ def stack_models(models: list[Model]) -> Model:
                 )
             for key in keys:
                 groups[0][key] = np.stack([group[key] for group in groups])
+            for group in groups[1:]:
+                group.clear()
+        for layer in layers[1:]:
+            layer.grads = {}
         target.grads = {
             key: np.zeros_like(target.params[key],
                                dtype=target.policy.compute_dtype)
@@ -84,4 +91,6 @@ def stack_optimizers(optimizers: list[Optimizer]) -> Optimizer:
             raise ValueError("optimizer slot keys differ across replicas")
         for key in keys:
             dicts[0][key] = np.stack([d[key] for d in dicts])
+        for donor in dicts[1:]:
+            donor.clear()
     return base

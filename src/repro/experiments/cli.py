@@ -29,7 +29,6 @@ from ..atlas.cli import add_atlas_arguments, atlas_command
 from ..serve.spec import CampaignSpec
 from .common import SCALES
 from .registry import CAMPAIGN_EXPERIMENTS, EXPERIMENTS, run_experiment
-from .runner import BATCH_TIMEOUT_CONFLICT
 from .watch import (
     add_fleet_arguments,
     add_watch_arguments,
@@ -63,12 +62,15 @@ def build_parser() -> argparse.ArgumentParser:
         f"only honored by {', '.join(sorted(CAMPAIGN_EXPERIMENTS))}",
     )
     campaign.add_argument("--workers", type=int, default=1,
-                          help="parallel trial processes (default 1 = "
-                               "sequential)")
-    campaign.add_argument("--batch-trials", type=int, default=1, metavar="N",
+                          help="trial processes (default 1: every chunk "
+                               "in this process)")
+    campaign.add_argument("--batch-trials", type=int, default=None,
+                          metavar="N",
                           help="train up to N same-spec trials together in "
-                               "one stacked pass (bit-identical per trial; "
-                               "incompatible with --trial-timeout)")
+                               "one stacked pass (bit-identical per trial); "
+                               "by default as many as fit memory with "
+                               "--workers 1, else 1; 1 trains each trial "
+                               "alone")
     campaign.add_argument("--journal", default=None, metavar="PATH",
                           help="append every trial to this JSONL journal "
                                "(suffixed per experiment when running "
@@ -78,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--trial-timeout", type=float, default=None,
                           metavar="SECONDS",
                           help="kill and retry a trial attempt after this "
-                               "long")
+                               "long (a chunk's: this long per trial)")
     campaign.add_argument("--retries", type=int, default=1,
                           help="extra attempts before a trial is journaled "
                                "'failed' (default 1)")
@@ -177,7 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--params", default=None, metavar="JSON",
                         help="kind-specific grid parameters as inline JSON, "
                              "e.g. '{\"bitflips\": [1, 10]}'")
-    submit.add_argument("--batch-trials", type=int, default=1, metavar="N")
+    submit.add_argument("--batch-trials", type=int, default=None,
+                        metavar="N",
+                        help="stack up to N same-spec trials per chunk "
+                             "(default: serve shards run chunks of one)")
     submit.add_argument("--trial-timeout", type=float, default=None,
                         metavar="SECONDS")
     submit.add_argument("--retries", type=int, default=1)
@@ -418,9 +423,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if args.workers < 1:
         print("--workers must be at least 1", file=sys.stderr)
-        return 2
-    if args.batch_trials > 1 and args.trial_timeout is not None:
-        print(BATCH_TIMEOUT_CONFLICT, file=sys.stderr)
         return 2
     # every spec is built, and so validated, before any experiment starts
     try:

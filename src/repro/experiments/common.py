@@ -31,6 +31,7 @@ from ..data import synthetic_cifar10
 from ..frameworks import get_facade, set_global_determinism
 from ..health import ModelHealthProbe, last_finite
 from ..nn import SGD, Trainer, rng
+from ..nn.layers import Layer
 from ..nn.model import Model
 from .locking import FileLock
 
@@ -559,6 +560,56 @@ def resume_training_batched(spec: SessionSpec, checkpoint_paths: list[str],
             health=probes[trial].history if probes is not None else [],
         ))
     return outcomes
+
+
+def stacked_trial_bytes(payload: dict) -> int:
+    """Bytes one more trial adds to a stacked resume of its spec group.
+
+    The flip kinds register this as their ``trial_bytes``
+    (:func:`~.runner.batch_trial_kind`); the runner sizes their chunks by
+    it.  A stacked trial holds its parameters and state, their gradients
+    and SGD velocity, and the activations a training forward keeps for the
+    backward, at the spec's batch size; the activations count twice, to
+    cover the backward's transients.  They are read off the layers after a
+    one-image training forward of a throwaway replica, once per spec group
+    and process.
+    """
+    return _stacked_trial_bytes(spec_group_key(payload))
+
+
+@functools.lru_cache(maxsize=16)
+def _stacked_trial_bytes(group: str) -> int:
+    spec = spec_from_payload(json.loads(group))
+    model = build_session_model(spec)
+    weights = [*model.named_parameters().values(),
+               *model.named_state().values()]
+    grads = [grad for layer in model.layers() for grad in layer.grads.values()]
+    size = spec.scale.model_image_size(spec.model)
+    model.forward(np.zeros((1, 3, size, size), dtype=np.float32),
+                  training=True)
+    kept = _kept_arrays(model.net, {})
+    return (sum(a.nbytes for a in weights)
+            + 2 * sum(g.nbytes for g in grads)  # gradients and velocity
+            + 2 * spec.scale.batch_size * sum(a.nbytes for a in kept))
+
+
+def _kept_arrays(layer, found: dict) -> list[np.ndarray]:
+    """The arrays *layer* and its sublayers hold outside their params,
+    grads and state (what a forward leaves for the backward), each buffer
+    once."""
+    pending = [value for name, value in vars(layer).items()
+               if name not in ("params", "grads", "state")]
+    while pending:
+        value = pending.pop()
+        if isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            found[id(value)] = value
+        elif isinstance(value, (list, tuple)):
+            pending.extend(value)
+        elif isinstance(value, Layer):
+            _kept_arrays(value, found)
+    return list(found.values())
 
 
 def corrupted_copy(checkpoint_path: str, workdir: str, tag: str) -> str:

@@ -16,7 +16,8 @@ pass (:mod:`repro.batched`) — bit-identical per trial to the unstacked
 :func:`~.common.resume_training` (the ``tests/batched`` oracle) — and a
 sequential trial is a chunk of one.  Trials run on the campaign engine
 (:mod:`repro.experiments.runner`): journaled, resumable, parallel under
-``workers`` and stacked under ``batch_trials``.
+``workers`` and stacked under ``batch_trials`` (by default, in one
+process, in chunks as large as memory allows).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .common import (
     spec_from_payload,
     spec_group_key,
     spec_to_payload,
+    stacked_trial_bytes,
     structural_findings_count,
     weights_root,
 )
@@ -293,7 +295,8 @@ def run_trial(payload: dict) -> dict:
     return run_trial_batch([payload])[0]
 
 
-@batch_trial_kind(EXPERIMENT_ID, group_key=spec_group_key)
+@batch_trial_kind(EXPERIMENT_ID, group_key=spec_group_key,
+                  trial_bytes=stacked_trial_bytes)
 def run_trial_batch(payloads: list[dict]) -> list[dict]:
     return run_flip_trials(FIG3, payloads)
 
@@ -303,7 +306,8 @@ def run(scale="tiny", seed: int = 42, pairs=DEFAULT_PAIRS,
         journal=None, resume: bool = False,
         trial_timeout: float | None = None, retries: int = 1,
         engine: str = "vectorized", health_probe: bool = False,
-        validate_checkpoints: bool = False, batch_trials: int = 1,
+        validate_checkpoints: bool = False,
+        batch_trials: int | None = None,
         spec=None) -> ExperimentResult:
     """Regenerate Fig 3 (accuracy curves per flip rate).
 

@@ -4,21 +4,23 @@ The paper's protocol is embarrassingly parallel — every experiment cell is
 N independent inject-and-resume trainings (§V-A: 250 per cell).  This module
 turns a harness's trial list into a *campaign*:
 
-* the plan is cut once into *chunks* — a chunk of one per trial, or under
-  ``batch_trials > 1`` up to that many same-group trials sharing one
-  training pass (:mod:`repro.batched`) — and one scheduling policy runs
-  them all, in process (``workers=1``, no timeout) or on a pool of
-  ``workers`` long-lived forked processes, each reused while its attempts
-  succeed and replaced after one fails; results are bit-identical either
-  way because every trial is a pure function of its payload;
+* the plan is cut once into *chunks* — a chunk of one per trial, or up to
+  ``batch_trials`` same-group trials sharing one training pass
+  (:mod:`repro.batched`), by default as many as fit memory when one
+  process runs them all — and one scheduling policy runs them, in process
+  (``workers=1``, no timeout) or on a pool of ``workers`` long-lived
+  forked processes, each reused while its attempts succeed and replaced
+  after one fails; results are bit-identical either way because every
+  trial is a pure function of its payload;
 * every terminal outcome is appended to a JSONL *journal* — an append-only
   record of (trial id, kind, payload, outcome, status, attempts, duration,
   worker) that survives ``kill -9`` mid-campaign;
 * a killed campaign resumes by replaying the journal and skipping trials
   that already have a terminal record;
-* each trial gets a configurable timeout and bounded retry; a trial that
-  keeps hanging or crashing is journaled ``failed`` and the campaign moves
-  on instead of aborting (graceful degradation).
+* each trial gets a configurable timeout (a chunk, the sum of its trials')
+  and bounded retry; a trial that keeps hanging or crashing is journaled
+  ``failed`` and the campaign moves on instead of aborting (graceful
+  degradation).
 
 Harnesses register *trial kinds* — top-level functions from JSON payload to
 JSON outcome — with :func:`trial_kind`; worker processes look the function
@@ -80,20 +82,23 @@ def get_trial_kind(name: str) -> Callable[[dict], dict]:
 
 @dataclass(frozen=True)
 class _BatchKind:
-    """A batched executor for one trial kind plus its grouping rule."""
+    """A batched executor for one trial kind, its grouping rule and the
+    memory one more trial adds to a chunk (``None``: unknown)."""
 
     func: Callable[[list[dict]], list[dict]]
     group_key: Callable[[dict], str]
+    trial_bytes: Callable[[dict], int] | None = None
 
 
 #: name -> batched executor.  A batch kind amortizes shared work (the
 #: training pass) across a chunk of same-kind trials; only payloads with
 #: equal ``group_key`` may share a chunk.  Kinds without an entry here run
-#: sequentially even under ``batch_trials > 1``.
+#: as chunks of one whatever ``batch_trials`` says.
 BATCH_TRIAL_KINDS: dict[str, _BatchKind] = {}
 
 
-def batch_trial_kind(name: str, *, group_key: Callable[[dict], str]) -> \
+def batch_trial_kind(name: str, *, group_key: Callable[[dict], str],
+                     trial_bytes: Callable[[dict], int] | None = None) -> \
         Callable[[Callable[[list[dict]], list[dict]]],
                  Callable[[list[dict]], list[dict]]]:
     """Register a batched executor for trial kind *name*.
@@ -101,12 +106,16 @@ def batch_trial_kind(name: str, *, group_key: Callable[[dict], str]) -> \
     The function receives the payloads of one chunk — all sharing a
     ``group_key`` — and must return one outcome dict per payload, in order,
     each bit-identical to what the sequential kind would have produced for
-    that payload (the contract ``tests/batched`` enforces).
+    that payload (the contract ``tests/batched`` enforces).  *trial_bytes*
+    maps a payload to the bytes one more trial of its group adds to a
+    chunk; without it the runner never stacks the kind on its own (see
+    :func:`_chunk_size`).
     """
 
     def register(func: Callable[[list[dict]], list[dict]]) -> \
             Callable[[list[dict]], list[dict]]:
-        BATCH_TRIAL_KINDS[name] = _BatchKind(func=func, group_key=group_key)
+        BATCH_TRIAL_KINDS[name] = _BatchKind(func=func, group_key=group_key,
+                                             trial_bytes=trial_bytes)
         return func
 
     return register
@@ -276,17 +285,10 @@ class CampaignResult:
         return [asdict(r) for r in self.records]
 
 
-#: Why ``batch_trials > 1`` excludes a ``trial_timeout``: ``run_campaign``,
-#: ``CampaignSpec`` and the CLI reject the pair with this one message.
-BATCH_TIMEOUT_CONFLICT = ("batch_trials > 1 (--batch-trials) is incompatible "
-                          "with trial_timeout (--trial-timeout): a deadline "
-                          "covers one trial, not a chunk")
-
-
 def run_campaign(tasks: Iterable[TrialTask], *, workers: int = 1,
                  journal: str | Journal | None = None, resume: bool = False,
-                 trial_timeout: float | None = None,
-                 retries: int = 1, batch_trials: int = 1) -> CampaignResult:
+                 trial_timeout: float | None = None, retries: int = 1,
+                 batch_trials: int | None = None) -> CampaignResult:
     """Execute *tasks*, returning records in task order.
 
     Parameters
@@ -303,21 +305,20 @@ def run_campaign(tasks: Iterable[TrialTask], *, workers: int = 1,
         Replay the journal first and skip trials that already have a
         terminal record.
     trial_timeout:
-        Seconds before an attempt is killed and counted as a timeout.
+        Seconds before a trial's attempt is killed and counted as a
+        timeout; a chunk's attempt gets that many per trial.
     retries:
         Extra attempts after the first failure before the trial is
         journaled ``failed``.
     batch_trials:
-        ``> 1`` runs chunks of that many batchable trials (same kind, same
-        :func:`batch_trial_kind` group key) through the kind's batched
+        Chunks of up to that many batchable trials (same kind, same
+        :func:`batch_trial_kind` group key) run through the kind's batched
         executor, in process or on the pool, one journal record per trial
-        as usual.  Incompatible with ``trial_timeout``: a deadline covers one
-        trial, not a chunk.
+        as usual; ``1`` runs every trial alone.  ``None`` lets the runner
+        pick per group (:func:`_chunk_size`).
     """
     tasks = list(tasks)
     workers = max(1, workers)
-    if batch_trials > 1 and trial_timeout is not None:
-        raise ValueError(BATCH_TIMEOUT_CONFLICT)
     seen: set[str] = set()
     for task in tasks:
         if task.trial_id in seen:
@@ -339,10 +340,12 @@ def run_campaign(tasks: Iterable[TrialTask], *, workers: int = 1,
     log.debug("campaign: %d tasks (%d to run, %d replayed), workers=%d",
               len(tasks), len(todo), len(replayed), workers)
     start = time.monotonic()
-    policy = _Policy(_cut(todo, batch_trials), journal, retries, start)
+    chunks = _cut(todo, batch_trials, workers)
+    policy = _Policy(chunks, journal, retries, start)
     with telemetry.span("campaign", workers=workers,
                         total=len(tasks), skipped=len(replayed),
-                        batch_trials=max(1, batch_trials),
+                        batch_trials=max((len(c.tasks) for c in chunks),
+                                         default=1),
                         blas_threads=blas.num_threads()) as campaign:
         if workers == 1 and trial_timeout is None:
             _run_in_process(policy)
@@ -412,27 +415,62 @@ class _Chunk:
                 self.batched, self.span.context(), self.attempt_id)
 
 
-def _cut(tasks: list[TrialTask], batch_trials: int) -> list[_Chunk]:
+def _cut(tasks: list[TrialTask], batch_trials: int | None,
+         workers: int) -> list[_Chunk]:
     """Split the plan into chunks, once.
 
-    Under ``batch_trials > 1`` batchable tasks are grouped by (kind, group
-    key) — preserving task order within a group — and cut into consecutive
-    chunks of up to ``batch_trials`` trials (a ragged tail is an ordinary
-    smaller chunk).  Every other task is a chunk of one, ahead of them.
+    Batchable tasks are grouped by (kind, group key) — preserving task
+    order within a group — and each group whose chunk size
+    (:func:`_chunk_size`) exceeds one is cut into consecutive chunks of up
+    to that size (a ragged tail is an ordinary smaller chunk).  Every other
+    task is a chunk of one, ahead of them, in task order.
     """
     singles: list[_Chunk] = []
     groups: dict[tuple[str, str], list[TrialTask]] = {}
+    sizes: dict[tuple[str, str], int] = {}
     for task in tasks:
         batch_kind = BATCH_TRIAL_KINDS.get(task.kind) \
-            if batch_trials > 1 else None
-        if batch_kind is None:
-            singles.append(_Chunk([task], batched=False))
-        else:
+            if batch_trials != 1 else None
+        if batch_kind is not None:
             key = (task.kind, batch_kind.group_key(task.payload))
-            groups.setdefault(key, []).append(task)
-    return singles + [_Chunk(group[cut:cut + batch_trials], batched=True)
-                      for group in groups.values()
-                      for cut in range(0, len(group), batch_trials)]
+            if key not in sizes:
+                sizes[key] = _chunk_size(task.kind, task.payload,
+                                         batch_trials, workers)
+            if sizes[key] > 1:
+                groups.setdefault(key, []).append(task)
+                continue
+        singles.append(_Chunk([task], batched=False))
+    return singles + [_Chunk(group[cut:cut + sizes[key]], batched=True)
+                      for key, group in groups.items()
+                      for cut in range(0, len(group), sizes[key])]
+
+
+#: the largest chunk the runner cuts when it picks the size itself
+MAX_STACK = 16
+
+
+def _chunk_size(kind: str, payload: dict, batch_trials: int | None,
+                workers: int) -> int:
+    """Trials per chunk for the group of *payload*, a batchable *kind*'s.
+
+    An explicit *batch_trials* is taken as it is.  ``None`` means one on a
+    pool (``workers > 1``), whose workers would each hold a stack, and
+    for a kind that declares no per-trial footprint.  In one process it is
+    the largest T ≤ :data:`MAX_STACK` whose T trials fit a quarter of the
+    free memory by the kind's ``trial_bytes``, and one where none fits.
+    """
+    if batch_trials is not None:
+        return batch_trials
+    trial_bytes = BATCH_TRIAL_KINDS[kind].trial_bytes
+    if workers > 1 or trial_bytes is None:
+        return 1
+    footprint = max(1, trial_bytes(payload))
+    return max(1, min(MAX_STACK, _free_memory() // 4 // footprint))
+
+
+def _free_memory() -> int:
+    """Bytes of physical memory free right now."""
+    return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def _attempt(kind: str, payloads: list[dict], batched: bool,
@@ -467,10 +505,11 @@ class _Policy:
     A successful attempt journals one record per trial; the chunk's
     wall-time is split evenly across them (per-trial attribution inside a
     shared training pass is meaningless, but the sum over the journal must
-    still equal the time spent).  A failed batched chunk falls back to
-    chunks of one — outcome-identical by the batch-kind contract, so a
-    batch-level crash degrades to the sequential campaign instead of
-    failing N trials at once.  A failed chunk of one is retried
+    still equal the time spent).  A failed batched chunk (it raised,
+    crashed or ran out of time) falls back to chunks of one —
+    outcome-identical by the batch-kind contract, so a batch-level crash
+    degrades to the sequential campaign instead of failing N trials at
+    once.  A failed chunk of one is retried
     ``retries`` times, then journaled ``failed``.
     """
 
@@ -629,12 +668,12 @@ def _run_forked(policy: _Policy, workers: int,
 
     A slot forks its worker when it first has work and keeps it while its
     attempts succeed.  A worker whose attempt failed (it raised, crashed,
-    or ran past ``chunk.started + trial_timeout`` and was killed) is
-    joined, and its slot forks a fresh one: a retry never runs in the
-    process that failed, and a hang or segfault costs one worker, never
-    the campaign.  No worker outlives this call, whatever it raises.  The
-    caller holds :func:`repro.nn.blas.thread_budget` across it, so every
-    worker inherits its share of the CPUs.
+    or ran past its chunk's deadline, ``trial_timeout`` per trial, and was
+    killed) is joined, and its slot forks a fresh one: a retry never runs
+    in the process that failed, and a hang or segfault costs one worker,
+    never the campaign.  No worker outlives this call, whatever it raises.
+    The caller holds :func:`repro.nn.blas.thread_budget` across it, so
+    every worker inherits its share of the CPUs.
     """
     ctx = get_context("fork")
     pool: list[_Worker | None] = [None] * workers
@@ -679,13 +718,13 @@ def _run_forked(policy: _Policy, workers: int,
                     error = (f"worker exited with code "
                              f"{worker.process.exitcode} before reporting "
                              "a result")
-                elif trial_timeout is not None and \
-                        now > chunk.started + trial_timeout:
+                elif trial_timeout is not None and now > chunk.started + \
+                        trial_timeout * len(chunk.tasks):
                     worker.process.terminate()
                     telemetry.count("runner.timeouts")
                     timed_out = True
-                    error = (f"trial timed out after "
-                             f"{now - chunk.started:.1f}s")
+                    error = (f"{'chunk' if chunk.batched else 'trial'} "
+                             f"timed out after {now - chunk.started:.1f}s")
                 else:
                     continue
                 worker.chunk = None

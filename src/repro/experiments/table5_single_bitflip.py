@@ -24,6 +24,7 @@ from .common import (
     get_scale,
     spec_group_key,
     spec_to_payload,
+    stacked_trial_bytes,
 )
 from .fig3_bitflip_rates import (
     FlipCampaign,
@@ -129,7 +130,8 @@ def run_trial(payload: dict) -> dict:
     return run_trial_batch([payload])[0]
 
 
-@batch_trial_kind(EXPERIMENT_ID, group_key=spec_group_key)
+@batch_trial_kind(EXPERIMENT_ID, group_key=spec_group_key,
+                  trial_bytes=stacked_trial_bytes)
 def run_trial_batch(payloads: list[dict]) -> list[dict]:
     return run_flip_trials(TABLE5, payloads)
 
@@ -139,7 +141,8 @@ def run(scale="tiny", seed: int = 42,
         cache=None, workers: int = 1, journal=None, resume: bool = False,
         trial_timeout: float | None = None, retries: int = 1,
         engine: str = "vectorized", health_probe: bool = False,
-        validate_checkpoints: bool = False, batch_trials: int = 1,
+        validate_checkpoints: bool = False,
+        batch_trials: int | None = None,
         spec=None) -> ExperimentResult:
     """Regenerate Table V (RWC under one bit-flip); see
     :func:`.fig3_bitflip_rates.run` for ``spec``."""

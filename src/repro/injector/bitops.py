@@ -184,6 +184,18 @@ def flip_integer_bit(value: int, rng: np.random.Generator) -> int:
     return -flipped if value < 0 else flipped
 
 
+def wrap_integer(value: int, dtype) -> int:
+    """The value an integer *dtype* holds after storing *value*'s raw bits.
+
+    Keeps the low ``bits`` bits of *value* in two's complement and reads
+    them back at *dtype*: the wrap a C cast of an overflowing integer
+    makes, for any Python integer, however far out of range.
+    """
+    info = np.iinfo(dtype)
+    raw = int(value) % (1 << info.bits)
+    return raw - (1 << info.bits) if raw > info.max else raw
+
+
 # -- array kernels (vectorized injection engine) -----------------------------
 #
 # Each kernel is the batched counterpart of the scalar primitive above: it

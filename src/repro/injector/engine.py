@@ -517,12 +517,9 @@ def _apply_float(store, i: int, t_idx: int, target: PlanTarget, index: int,
 def _apply_integer(store, i: int, t_idx: int, target: PlanTarget, index: int,
                    rng) -> tuple:
     old = int(store.read_element(t_idx, index))
-    new = bitops.flip_integer_bit(old, rng)
-    info = np.iinfo(target.dtype)
-    if not info.min <= new <= info.max:
-        # The flipped value no longer fits the stored width; wrap the way
-        # a store of the raw bits would.
-        new = int(np.asarray(new).astype(target.dtype)[()])
+    # flipping a low bit of a signed type's minimum (INT64_MIN, say)
+    # leaves the type's range: the dataset keeps the flip's raw bits
+    new = bitops.wrap_integer(bitops.flip_integer_bit(old, rng), target.dtype)
     store.write_element(t_idx, index, new)
     mask = (1 << 64) - 1
     return (i, t_idx, index, -1, 1, old & mask, new & mask, float(old),

@@ -208,10 +208,13 @@ class ServeWorker:
             telemetry.count("serve.shards_claimed")
             with telemetry.span("serve.shard", campaign=cid, shard=shard_id,
                                 owner=self.owner, trials=len(tasks)) as span:
+                # a shard stacks only what its spec asks for: several
+                # workers share the host, and each would hold a stack
                 result = run_campaign(
                     tasks, workers=1,
                     journal=self.store.shard_journal_path(cid, shard_id),
-                    resume=True, **spec.runner_kwargs())
+                    resume=True, **{**spec.runner_kwargs(),
+                                    "batch_trials": spec.batch_trials or 1})
                 span.set(executed=result.stats.executed,
                          skipped=result.stats.skipped)
             telemetry.count("serve.shards_completed")

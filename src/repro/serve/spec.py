@@ -92,8 +92,11 @@ class CampaignSpec:
     engine:
         Injector apply path for every trial (``scalar`` | ``vectorized``).
     batch_trials:
-        ``> 1`` stacks that many same-group trials into one shared
-        training pass (:mod:`repro.batched`).
+        Stacks up to that many same-group trials into one shared training
+        pass (:mod:`repro.batched`); ``1`` trains each trial alone.
+        ``None`` leaves the size to whatever runs the campaign: an
+        in-process run stacks as many as fit memory, a pool or a serve
+        shard runs chunks of one.
     health_probe / validate_checkpoints:
         Per-trial observability/validation flags, forwarded verbatim into
         trial payloads.
@@ -114,7 +117,7 @@ class CampaignSpec:
     seed: int = 42
     params: dict = field(default_factory=dict)
     engine: str = "vectorized"
-    batch_trials: int = 1
+    batch_trials: int | None = None
     health_probe: bool = False
     validate_checkpoints: bool = False
     retries: int = 1
@@ -152,13 +155,13 @@ class CampaignSpec:
                              ) from None
         if self.engine not in ("scalar", "vectorized"):
             raise ValueError(f"bad engine: {self.engine!r}")
-        if not isinstance(self.batch_trials, int) or self.batch_trials < 1:
-            raise ValueError("batch_trials must be a positive integer")
+        if self.batch_trials is not None and (
+                not isinstance(self.batch_trials, int)
+                or self.batch_trials < 1):
+            raise ValueError("batch_trials must be a positive integer "
+                             "when set")
         if self.trial_timeout is not None and not self.trial_timeout > 0:
             raise ValueError("trial_timeout must be positive when set")
-        if self.batch_trials > 1 and self.trial_timeout is not None:
-            from ..experiments.runner import BATCH_TIMEOUT_CONFLICT
-            raise ValueError(BATCH_TIMEOUT_CONFLICT)
         if not isinstance(self.retries, int) or self.retries < 0:
             raise ValueError("retries must be a non-negative integer")
         if not isinstance(self.priority, int) or isinstance(self.priority,

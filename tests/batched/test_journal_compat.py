@@ -52,7 +52,7 @@ class TestRecordSchema:
         field the same schema as a sequential journal's."""
         seq_journal = Journal(str(tmp_path / "seq.jsonl"))
         bat_journal = Journal(str(tmp_path / "bat.jsonl"))
-        run_campaign(tasks, journal=seq_journal)
+        run_campaign(tasks, journal=seq_journal, batch_trials=1)
         run_campaign(tasks, journal=bat_journal, batch_trials=3)
 
         seq_records = seq_journal.load()
@@ -110,13 +110,13 @@ class TestResume:
         with identical per-trial outcomes."""
         journal = Journal(str(tmp_path / "mixed.jsonl"))
         half = len(tasks) // 2
-        run_campaign(tasks[:half], journal=journal)
+        run_campaign(tasks[:half], journal=journal, batch_trials=1)
         result = run_campaign(tasks, journal=journal, resume=True,
                               batch_trials=4)
         assert result.stats.skipped == half
         assert result.stats.executed == len(tasks) - half
 
-        oracle = run_campaign(tasks)
+        oracle = run_campaign(tasks, batch_trials=1)
         for mixed, seq in zip(result.records, oracle.records):
             assert mixed.trial_id == seq.trial_id
             assert outcomes_equal(mixed.outcome, seq.outcome)
@@ -127,7 +127,7 @@ class TestStats:
         """``CampaignStats.from_dict`` round-trips the archived stats of a
         mixed batched/sequential campaign."""
         journal = Journal(str(tmp_path / "stats.jsonl"))
-        run_campaign(tasks[:2], journal=journal)
+        run_campaign(tasks[:2], journal=journal, batch_trials=1)
         result = run_campaign(tasks, journal=journal, resume=True,
                               batch_trials=3)
         payload = result.stats.as_dict()

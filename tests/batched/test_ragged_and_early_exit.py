@@ -1,17 +1,23 @@
-"""Ragged tails, all-crash batches, and early-exit pruning.
+"""Ragged tails, chunk sizes and deadlines, all-crash batches, and
+early-exit pruning.
 
 The chunking edge cases of ``batch_trials``: campaign sizes that do not
-divide by the batch size, chunks whose batched executor dies outright, and
-batches that lose trials (or every trial) to collapse mid-training.
+divide by the batch size, the size the runner picks when none is given,
+chunks that outlive their deadline or whose batched executor dies
+outright, and batches that lose trials (or every trial) to collapse
+mid-training.
 """
 
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
+from repro import telemetry
 from repro.experiments import fig3_bitflip_rates as fig3
+from repro.experiments import runner
 from repro.experiments.common import (
     BaselineCache,
     SessionSpec,
@@ -20,11 +26,13 @@ from repro.experiments.common import (
     resume_training_batched,
 )
 from repro.experiments.runner import (
+    Journal,
     TrialTask,
     batch_trial_kind,
     run_campaign,
     trial_kind,
 )
+from repro.telemetry.aggregate import load_events, merge_metrics
 
 from .oracle import COLLAPSE_RECIPE, corrupt_trial_copy, feq
 
@@ -76,10 +84,41 @@ def _plain(payload: dict) -> dict:
     return {"plain": payload["value"]}
 
 
-def make_tasks(kind: str, count: int, group: str = "g") -> list[TrialTask]:
+@trial_kind("synthetic-sized")
+def _sized(payload: dict) -> dict:
+    return {"value": payload["value"], "chunk": 1}
+
+
+@batch_trial_kind("synthetic-sized",
+                  group_key=lambda payload: payload["group"],
+                  trial_bytes=lambda payload: payload.get("bytes", 1))
+def _sized_batch(payloads: list[dict]) -> list[dict]:
+    return [{"value": p["value"], "chunk": len(payloads)} for p in payloads]
+
+
+@trial_kind("synthetic-slow")
+def _slow(payload: dict) -> dict:
+    return {"value": payload["value"]}
+
+
+@batch_trial_kind("synthetic-slow",
+                  group_key=lambda payload: payload["group"])
+def _slow_batch(payloads: list[dict]) -> list[dict]:
+    time.sleep(payloads[0]["sleep"])  # the chunk's shared training pass
+    return [{"value": p["value"], "chunk": len(payloads)} for p in payloads]
+
+
+def make_tasks(kind: str, count: int, group: str = "g",
+               **payload) -> list[TrialTask]:
     return [TrialTask(trial_id=f"{kind}/{group}/{i}", kind=kind,
-                      payload={"value": i, "group": group})
+                      payload={"value": i, "group": group, **payload})
             for i in range(count)]
+
+
+def cut_shape(tasks: list[TrialTask], batch_trials, workers: int) -> list:
+    """(size, batched) of each chunk the runner cuts *tasks* into."""
+    return [(len(chunk.tasks), chunk.batched)
+            for chunk in runner._cut(tasks, batch_trials, workers)]
 
 
 class TestChunking:
@@ -107,10 +146,6 @@ class TestChunking:
         assert [r.outcome["plain"] for r in result.records] == [0, 1, 2]
         assert all(r.status == "ok" for r in result.records)
 
-    def test_batch_trials_rejects_trial_timeout(self):
-        with pytest.raises(ValueError, match="trial_timeout"):
-            run_campaign([], trial_timeout=1.0, batch_trials=2)
-
     def test_pool_workers_run_whole_chunks(self):
         """Forked workers run the chunks the inline path would: 7 trials
         at batch 3 over two workers -> chunks of 3, 3, 1."""
@@ -126,6 +161,99 @@ class TestChunking:
                  + make_tasks("synthetic-double", 2, group="b"))
         result = run_campaign(tasks, workers=2, batch_trials=4)
         assert [r.outcome["chunk"] for r in result.records] == [2, 2, 2, 2]
+
+
+class TestChunkSize:
+    """``batch_trials=None``: one process stacks each group as deep as a
+    quarter of free memory allows, up to 16; a pool runs chunks of one."""
+
+    def test_in_process_default_stacks_sixteen(self):
+        tasks = make_tasks("synthetic-sized", 20)
+        assert cut_shape(tasks, None, workers=1) == [(16, True), (4, True)]
+        result = run_campaign(tasks)
+        assert [r.outcome["chunk"] for r in result.records] == \
+            [16] * 16 + [4] * 4
+
+    def test_pool_default_runs_chunks_of_one(self):
+        tasks = make_tasks("synthetic-sized", 20)
+        assert cut_shape(tasks, None, workers=2) == [(1, False)] * 20
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_explicit_size_overrides_in_both_launchers(self, monkeypatch,
+                                                       workers):
+        """Even where the memory rule would say one."""
+        monkeypatch.setattr(runner, "_free_memory", lambda: 4)
+        tasks = make_tasks("synthetic-sized", 7, bytes=10**12)
+        assert cut_shape(tasks, 3, workers) == \
+            [(3, True), (3, True), (1, True)]
+        result = run_campaign(tasks, workers=workers, batch_trials=3)
+        assert [r.outcome["chunk"] for r in result.records] == \
+            [3, 3, 3, 3, 3, 3, 1]
+
+    def test_free_memory_for_three_trials_gives_chunks_of_three(
+            self, monkeypatch):
+        monkeypatch.setattr(runner, "_free_memory", lambda: 4 * 3 * 1000)
+        tasks = make_tasks("synthetic-sized", 7, bytes=1000)
+        assert cut_shape(tasks, None, workers=1) == \
+            [(3, True), (3, True), (1, True)]
+
+    def test_footprint_above_budget_gives_chunks_of_one(self, monkeypatch):
+        monkeypatch.setattr(runner, "_free_memory", lambda: 4 * 1000)
+        tasks = make_tasks("synthetic-sized", 3, bytes=1001)
+        assert cut_shape(tasks, None, workers=1) == [(1, False)] * 3
+
+    def test_kinds_without_batch_executor_run_alone(self):
+        tasks = make_tasks("synthetic-plain", 3)
+        assert cut_shape(tasks, None, workers=1) == [(1, False)] * 3
+        result = run_campaign(tasks)
+        assert [r.outcome["plain"] for r in result.records] == [0, 1, 2]
+
+    def test_groups_are_sized_apart(self, monkeypatch):
+        """Each group gets the chunk its own footprint allows."""
+        monkeypatch.setattr(runner, "_free_memory", lambda: 4 * 2 * 1000)
+        tasks = (make_tasks("synthetic-sized", 3, group="big", bytes=1000)
+                 + make_tasks("synthetic-sized", 3, group="small", bytes=1))
+        assert cut_shape(tasks, None, workers=1) == \
+            [(2, True), (1, True), (3, True)]
+
+
+class TestChunkDeadlines:
+    """A chunk's deadline is ``trial_timeout`` per trial; one that runs past
+    it is killed and its trials re-run as chunks of one."""
+
+    def test_chunk_within_summed_deadline_completes(self):
+        # 1.5 s is past one trial's deadline, and within three trials'
+        tasks = make_tasks("synthetic-slow", 3, sleep=1.5)
+        result = run_campaign(tasks, trial_timeout=1.0, batch_trials=3,
+                              retries=0)
+        assert [(r.status, r.timed_out) for r in result.records] == \
+            [("ok", False)] * 3
+        assert [r.outcome["chunk"] for r in result.records] == [3, 3, 3]
+
+    def test_hung_chunk_is_killed_and_rerun_as_chunks_of_one(self,
+                                                             tmp_path):
+        journal = str(tmp_path / "j.jsonl")
+        events = str(tmp_path / "events.jsonl")
+        tasks = make_tasks("synthetic-slow", 3, sleep=3600)
+        telemetry.configure(jsonl=events)
+        start = time.monotonic()
+        try:
+            result = run_campaign(tasks, trial_timeout=0.3, batch_trials=3,
+                                  journal=journal)
+        finally:
+            telemetry.shutdown()
+        # killed at its own deadline, three trials' worth
+        assert time.monotonic() - start >= 0.9
+        metrics = merge_metrics(load_events(events))
+        assert metrics["runner.timeouts"]["value"] == 1
+        assert metrics["runner.batch_fallbacks"]["value"] == 1
+        assert [r.outcome for r in result.records] == \
+            [{"value": i} for i in range(3)]
+        journaled = Journal(journal).load()
+        assert sorted(r.trial_id for r in journaled) == \
+            sorted(t.trial_id for t in tasks)
+        assert [(r.status, r.attempts, r.timed_out) for r in journaled] == \
+            [("ok", 1, False)] * 3
 
 
 class TestAllCrashBatch:

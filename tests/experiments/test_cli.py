@@ -36,10 +36,10 @@ def test_batch_trials_flag_reaches_campaign_kwargs():
         ["run", "fig3", "--batch-trials", "4"])
     kwargs = campaign_kwargs(args, "fig3", multiple=False)
     assert kwargs["spec"].batch_trials == 4
-    # default stays sequential
+    # by default whatever runs the campaign picks the chunk size
     default = build_parser().parse_args(["run", "fig3"])
     assert campaign_kwargs(default, "fig3",
-                           multiple=False)["spec"].batch_trials == 1
+                           multiple=False)["spec"].batch_trials is None
 
 
 def test_campaign_kwargs_carries_canonical_spec():
@@ -76,10 +76,24 @@ def test_unknown_experiment(capsys):
     assert "unknown experiments" in capsys.readouterr().err
 
 
-def test_batch_trials_flag_incompatibilities(capsys):
+def test_batch_trials_pairs_with_trial_timeout(capsys, monkeypatch):
+    """No campaign flag excludes another: a stacked chunk's deadline is
+    its trials' summed deadlines."""
+    from repro.experiments import cli
+    from repro.experiments.common import ExperimentResult
+
+    ran = {}
+
+    def fake_run(experiment_id, **kwargs):
+        ran[experiment_id] = kwargs
+        return ExperimentResult(experiment_id, "t", [], [], "rendered")
+
+    monkeypatch.setattr(cli, "run_experiment", fake_run)
     assert main(["run", "fig3", "--scale", "smoke", "--batch-trials", "4",
-                 "--trial-timeout", "5"]) == 2
-    assert "--trial-timeout" in capsys.readouterr().err
+                 "--trial-timeout", "600"]) == 0
+    spec = ran["fig3"]["spec"]
+    assert (spec.batch_trials, spec.trial_timeout) == (4, 600.0)
+    assert "rendered" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flag, value, message", [

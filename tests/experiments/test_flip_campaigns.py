@@ -130,7 +130,8 @@ def test_inline_trial_emits_resume_training_telemetry(cache, tmp_path):
         spec, baseline.checkpoint_path, epochs=SMOKE.resume_epochs))
     tasks, _ = fig3.build_tasks(SMOKE, 42, [("chainer_like", "alexnet")],
                                 (1,), 1, cache)
-    events = _recorded(tmp_path, "trial", lambda: run_campaign(tasks))
+    events = _recorded(tmp_path, "trial",
+                       lambda: run_campaign(tasks, batch_trials=1))
 
     [trial] = _spans(events, "trial")
     [train] = _spans(events, "train")
@@ -173,7 +174,7 @@ def test_in_process_trials_match_fresh_processes(cache):
         # the pool forks its workers from this state: empty memos
         common._parse_structure.cache_clear()
         common._dataset.cache_clear()
-        result = run_campaign(tasks, workers=workers)
+        result = run_campaign(tasks, workers=workers, batch_trials=1)
         outcomes[workers] = sorted(
             json.dumps([r["trial_id"], r["status"], r["outcome"],
                         r["outcome_class"]], sort_keys=True)
@@ -245,7 +246,8 @@ class TestRerunTrialProvenance:
 
     def test_retried_trial_counts_its_last_attempt(self, cache, tmp_path,
                                                    monkeypatch):
-        rows, events = self._run(cache, tmp_path, monkeypatch)
+        rows, events = self._run(cache, tmp_path, monkeypatch,
+                                 batch_trials=1)
         self._assert_one_flip_per_trial(rows, events)
 
     def test_fallback_trials_count_their_last_attempt(self, cache, tmp_path,
@@ -259,7 +261,8 @@ class TestRerunTrialProvenance:
         """The ``telemetry`` report's per-trial columns: a retried trial
         keeps one ``trial`` span over both attempts, yet reports its last
         attempt's one flip and its final accuracy."""
-        _, events = self._run(cache, tmp_path, monkeypatch)
+        _, events = self._run(cache, tmp_path, monkeypatch,
+                              batch_trials=1)
         trials = telemetry.CampaignTelemetry(events).trials()
         assert sorted(t.attempts for t in trials) == [1, 2]
         for trial in trials:

@@ -161,6 +161,37 @@ class TestIntegerFlip:
         assert abs(out).bit_length() <= max(abs(value).bit_length(), 1)
 
 
+INTEGER_DTYPES = [np.int8, np.int16, np.int32, np.int64,
+                  np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+class TestWrapInteger:
+    @pytest.mark.parametrize("dtype", INTEGER_DTYPES)
+    def test_matches_the_cast_wherever_the_cast_works(self, dtype):
+        """In range, and overflowing upward as far as numpy takes a
+        Python int (uint64's top), the wrap is numpy's C cast."""
+        info = np.iinfo(dtype)
+        values = {info.min, info.min + 1, -1, 0, 1, info.max - 1, info.max,
+                  2**64 - 1}
+        values |= {info.max + 2**k for k in range(64)
+                   if info.max + 2**k < 2**64}
+        for value in sorted(v for v in values if v >= info.min):
+            assert bitops.wrap_integer(value, dtype) == \
+                int(np.asarray(value).astype(dtype)[()]), value
+
+    @given(st.integers(min_value=-(2**63), max_value=2**64 - 1),
+           st.sampled_from(INTEGER_DTYPES))
+    @settings(max_examples=200)
+    def test_matches_the_cast_property(self, value, dtype):
+        assert bitops.wrap_integer(value, dtype) == \
+            int(np.asarray(value).astype(dtype)[()])
+
+    @pytest.mark.parametrize("k", [0, 1, 31, 62])
+    def test_int64_min_flip_keeps_its_raw_bits(self, k):
+        assert bitops.wrap_integer(-(2**63 + 2**k), np.int64) == \
+            2**63 - 2**k
+
+
 class TestPrecisionHelpers:
     def test_dtype_for_precision(self):
         assert bitops.dtype_for_precision(16) == np.float16

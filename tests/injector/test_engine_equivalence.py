@@ -186,6 +186,37 @@ class TestColumnarFlips:
         assert vector.log.flips is None  # the records are the log now
 
 
+class TestIntegerWrap:
+    def test_flip_of_int64_min_wraps_on_both_engines(self, tmp_path):
+        """``np.arange(4) * 2**62`` holds INT64_MIN third; flipping a low
+        bit of it gives -(2**63 + 2**k), which the dataset stores as
+        2**63 - 2**k instead of crashing the campaign."""
+        stored, files, logs = {}, {}, {}
+        for engine in ("scalar", "vectorized"):
+            path = str(tmp_path / f"{engine}.h5")
+            with hdf5.File(path, "w") as f:
+                f.create_dataset("step",
+                                 data=np.arange(4, dtype=np.int64) * 2**62)
+            config = InjectorConfig(
+                hdf5_file=path, injection_attempts=1, seed=4,
+                locations_to_corrupt=["step"], use_random_locations=False)
+            result = CheckpointCorrupter(config, engine=engine).corrupt()
+            [record] = result.log.records
+            assert (record.flat_index, record.old_bits) == \
+                (2, "8000000000000000")
+            with hdf5.File(path, "r") as f:
+                stored[engine] = int(f["step"].read()[2])
+            with open(path, "rb") as handle:
+                files[engine] = handle.read()
+            logs[engine] = repr(record)
+            assert int(record.new_bits, 16) == stored[engine]
+        lost = 2**63 - stored["scalar"]
+        assert 0 < lost < 2**63 and lost & (lost - 1) == 0  # one 2**k
+        assert stored["scalar"] == stored["vectorized"]
+        assert files["scalar"] == files["vectorized"]
+        assert logs["scalar"] == logs["vectorized"]
+
+
 class TestReplayEquivalence:
     def test_replay_engines_identical(self):
         with tempfile.TemporaryDirectory() as workdir:

@@ -30,7 +30,7 @@ class TestValidation:
         {"seed": True},
         {"engine": "quantum"},
         {"batch_trials": 0},
-        {"batch_trials": 2, "trial_timeout": 5.0},
+        {"batch_trials": "4"},
         {"trial_timeout": 0.0},
         {"retries": -1},
         {"priority": 1.5},
@@ -43,6 +43,14 @@ class TestValidation:
         payload = {"kind": "fig3", **overrides}
         with pytest.raises(ValueError):
             CampaignSpec(**payload)
+
+    def test_batch_trials_defaults_to_the_runners_choice(self):
+        assert CampaignSpec(kind="fig3").batch_trials is None
+
+    def test_batch_trials_pairs_with_trial_timeout(self):
+        """A chunk's deadline is its trials' summed deadlines."""
+        spec = CampaignSpec(kind="fig3", batch_trials=4, trial_timeout=5)
+        assert (spec.batch_trials, spec.trial_timeout) == (4, 5)
 
     def test_params_must_be_json_serializable(self):
         with pytest.raises(ValueError, match="JSON"):
@@ -88,14 +96,16 @@ class TestSerialization:
         assert list(payload) == sorted(payload)
 
 
-#: trial_timeout stays None: pairing it with batch_trials > 1 is the one
-#: intentionally invalid combination.
+#: every field drawn independently: no combination of valid values is
+#: invalid.
 SPEC_PAYLOADS = st.fixed_dictionaries({
     "kind": st.sampled_from(["fig3", "table5", "table6", "custom_kind"]),
     "scale": st.sampled_from(["smoke", "tiny", "small", "paper"]),
     "seed": st.integers(-10**9, 10**9),
     "engine": st.sampled_from(["scalar", "vectorized"]),
-    "batch_trials": st.integers(1, 64),
+    "batch_trials": st.one_of(st.none(), st.integers(1, 64)),
+    "trial_timeout": st.one_of(st.none(),
+                               st.floats(min_value=0.001, max_value=1e6)),
     "health_probe": st.booleans(),
     "validate_checkpoints": st.booleans(),
     "retries": st.integers(0, 9),
