@@ -221,7 +221,10 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray,
                   eps: float = 1e-12) -> np.ndarray:
     """Mean negative log-likelihood of integer *labels* under *probs*."""
     n = probs.shape[-2]
-    picked = probs[..., np.arange(n), labels]
+    # fancy indexing lays a stack's (T, N) picks out trial-minor; the mean
+    # must walk each trial's N contiguously, as it does for one trial, or
+    # numpy sums them in another order (and other bits) from N = 8 on
+    picked = np.ascontiguousarray(probs[..., np.arange(n), labels])
     return -np.mean(np.log(np.clip(picked, eps, None)), axis=-1)
 
 

@@ -75,6 +75,19 @@ class TestFunctionalAxes:
             alone = F.cross_entropy(probs[t], labels)
             assert losses[t].tobytes() == np.asarray(alone).tobytes()
 
+    @pytest.mark.parametrize("batch", [1, 7, 8, 9, 16, 33, 130])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_cross_entropy_per_trial_at_every_batch_size(self, batch, dtype):
+        """From 8 rows on numpy sums a contiguous row pairwise; each trial
+        of a stack must be summed that way too, not in stack order."""
+        rng = np.random.default_rng(batch)
+        logits = rng.normal(size=(5, batch, 10)).astype(dtype)
+        labels = rng.integers(0, 10, batch)
+        losses, _ = F.softmax_cross_entropy_with_grad(logits, labels)
+        for t in range(5):
+            alone, _ = F.softmax_cross_entropy_with_grad(logits[t], labels)
+            assert losses[t].tobytes() == np.asarray(alone).tobytes()
+
     def test_softmax_cross_entropy_with_grad_3d_per_trial(self):
         logits = stacked_logits()
         labels = np.arange(N) % 10
