@@ -27,8 +27,7 @@ import numpy as np
 from ..nn import functional as F
 from ..nn.model import Model
 from ..nn.optim import Optimizer
-from ..nn.rng import stream
-from ..nn.trainer import EpochMetrics, TrainingHistory
+from ..nn.trainer import Trainer
 
 
 @dataclass
@@ -103,75 +102,56 @@ class SimulatedHorovod:
         return averaged, stats
 
 
-class DataParallelTrainer:
+class DataParallelTrainer(Trainer):
     """Single-process simulation of Horovod data-parallel training.
 
     Each mini-batch is split into ``num_workers`` shards; gradients are
     computed shard-by-shard on the (shared) model replica, all-reduced via
     :class:`SimulatedHorovod`, and applied once.  With a deterministic
     reduction (fusion threshold 0) the result is bit-identical across runs;
-    with fusion enabled, runs diverge — reproducing §V-A3.
+    with fusion enabled, runs diverge — reproducing §V-A3.  Everything
+    around the step (shuffle, loss and accuracy accounting, collapse rule,
+    :meth:`fit`) is :class:`~repro.nn.Trainer`'s.
     """
 
     def __init__(self, model: Model, optimizer: Optimizer,
                  num_workers: int = 2, batch_size: int = 32,
                  fusion_threshold: int | None = None):
-        self.model = model
-        self.optimizer = optimizer
+        super().__init__(model, optimizer, batch_size=batch_size)
         self.num_workers = num_workers
-        self.batch_size = batch_size
         self.horovod = SimulatedHorovod(num_workers, fusion_threshold)
-        self.history = TrainingHistory()
-        self.epoch = 0
 
-    def run_epoch(self, x: np.ndarray, labels: np.ndarray) -> EpochMetrics:
-        self.epoch += 1
-        for layer in self.model.layers():
-            layer.on_epoch_start(self.epoch)
-        order = stream("shuffle", self.epoch).permutation(x.shape[0])
-        losses: list[float] = []
-        correct = 0
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for start in range(0, x.shape[0], self.batch_size):
-                idx = order[start:start + self.batch_size]
-                batch, batch_labels = x[idx], labels[idx]
-                shards = np.array_split(np.arange(len(idx)),
-                                        self.num_workers)
-                per_worker: list[dict[str, np.ndarray]] = []
-                batch_loss = 0.0
-                for shard in shards:
-                    if shard.size == 0:
-                        continue
-                    logits = self.model.forward(batch[shard], training=True)
-                    loss, grad = F.softmax_cross_entropy_with_grad(
-                        logits, batch_labels[shard]
-                    )
-                    batch_loss += float(loss) * shard.size
-                    correct += int(np.sum(
-                        np.argmax(logits, axis=1) == batch_labels[shard]
-                    ))
-                    self.model.backward(grad)
-                    per_worker.append({
-                        f"{layer.name}/{key}": layer.grads[key].copy()
-                        for layer in self.model.parameter_layers()
-                        for key in layer.grads
-                    })
-                # a final short batch may fill fewer workers; pad by
-                # repeating the last shard's gradients
-                while len(per_worker) < self.num_workers:
-                    per_worker.append(per_worker[-1])
-                averaged, _ = self.horovod.allreduce(per_worker)
-                for layer in self.model.parameter_layers():
-                    for key in layer.grads:
-                        layer.grads[key] = averaged[f"{layer.name}/{key}"]
-                self.optimizer.step(self.model)
-                losses.append(batch_loss / len(idx))
-        train_loss = float(np.mean(losses)) if losses else float("nan")
-        metrics = EpochMetrics(
-            epoch=self.epoch, train_loss=train_loss,
-            train_accuracy=correct / x.shape[0],
-            collapsed=(not np.isfinite(train_loss)
-                       or self.model.has_nonfinite_parameters()),
-        )
-        self.history.append(metrics)
-        return metrics
+    def _step(self, batch: np.ndarray,
+              labels: np.ndarray) -> tuple[list[float], list[int]]:
+        """Forward and backward shard by shard, then one all-reduce and
+        one optimizer step; the loss is the shard-size-weighted mean."""
+        shards = np.array_split(np.arange(len(labels)), self.num_workers)
+        per_worker: list[dict[str, np.ndarray]] = []
+        loss, correct = 0.0, 0
+        for shard in shards:
+            if shard.size == 0:
+                continue
+            logits = self.model.forward(batch[shard], training=True)
+            shard_loss, grad = F.softmax_cross_entropy_with_grad(
+                logits, labels[shard]
+            )
+            loss += float(shard_loss) * shard.size
+            correct += int(np.sum(
+                np.argmax(logits, axis=1) == labels[shard]
+            ))
+            self.model.backward(grad)
+            per_worker.append({
+                f"{layer.name}/{key}": layer.grads[key].copy()
+                for layer in self.model.parameter_layers()
+                for key in layer.grads
+            })
+        # a final short batch may fill fewer workers; pad by repeating the
+        # last shard's gradients
+        while len(per_worker) < self.num_workers:
+            per_worker.append(per_worker[-1])
+        averaged, _ = self.horovod.allreduce(per_worker)
+        for layer in self.model.parameter_layers():
+            for key in layer.grads:
+                layer.grads[key] = averaged[f"{layer.name}/{key}"]
+        self.optimizer.step(self.model)
+        return [loss / len(labels)], [correct]

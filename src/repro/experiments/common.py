@@ -427,69 +427,39 @@ class ResumeOutcome:
 def resume_training(spec: SessionSpec, checkpoint_path: str,
                     epochs: int | None = None,
                     keep_model: bool = False,
-                    health_probe=False) -> ResumeOutcome:
-    """Load *checkpoint_path* and continue training deterministically.
-
-    Replays exactly the batches an uninterrupted run would see from the
-    stored epoch onward; corrupted values in the checkpoint flow into the
-    model unchecked.  *health_probe* may be ``True`` (attach a fresh
-    :class:`repro.health.ModelHealthProbe`) or a pre-built probe; its
-    per-epoch snapshots come back in ``ResumeOutcome.health``.  Probing is
-    read-only and RNG-free, so probed and unprobed resumes are
-    bit-identical.  This is the unstacked reference the ``tests/batched``
-    oracle checks :func:`resume_training_batched` against.
-    """
-    scale = spec.scale
-    facade = get_facade(spec.framework)
-    set_global_determinism(spec.framework, spec.seed)
-    train, test = make_dataset(spec)
-    model = build_session_model(spec)
-    optimizer = SGD(lr=spec.effective_learning_rate,
-                        momentum=spec.momentum)
-    start_epoch = facade.load_checkpoint(checkpoint_path, model, optimizer)
-    probe = None
-    if health_probe:
-        probe = (health_probe if health_probe is not True
-                 else ModelHealthProbe())
-        # epoch-0 snapshot: the (corrupted) checkpoint state itself, so the
-        # propagation join can see where the flip landed before any update
-        probe.observe(model, optimizer, epoch=start_epoch)
-    trainer = Trainer(model, optimizer, batch_size=scale.batch_size,
-                      health_probe=probe)
-    trainer.epoch = start_epoch
-    if epochs is None:
-        epochs = scale.total_epochs - start_epoch
-    history = trainer.fit(train.images, train.labels, epochs=epochs,
-                          x_test=test.images, labels_test=test.labels)
-    curve = [m.test_accuracy for m in history.epochs]
-    return ResumeOutcome(
-        accuracy_curve=curve,
-        collapsed=history.collapsed,
-        final_accuracy=last_finite(curve),
-        model=model if keep_model else None,
-        health=probe.history if probe is not None else [],
-    )
+                    health_probe: bool = False) -> ResumeOutcome:
+    """Load *checkpoint_path* and continue training deterministically:
+    :func:`resume_training_batched` over one checkpoint, a stack of one."""
+    return resume_training_batched(spec, [checkpoint_path], epochs=epochs,
+                                   keep_models=keep_model,
+                                   health_probe=health_probe)[0]
 
 
 def resume_training_batched(spec: SessionSpec, checkpoint_paths: list[str],
                             epochs: int | None = None,
                             keep_models: bool = False,
-                            health_probe=False,
+                            health_probe: bool = False,
                             trial_ids: list[str] | None = None,
                             template: hdf5.Structure | None = None,
                             ) -> list[ResumeOutcome]:
-    """Batched analogue of :func:`resume_training` over N checkpoints.
+    """Load N checkpoints and continue training them deterministically.
 
-    Loads every (typically independently corrupted) checkpoint through the
-    exact per-trial facade path :func:`resume_training` uses, stacks the
-    replicas along a leading trial axis, and trains them in one shared
-    forward/backward pass (:mod:`repro.batched`).  Outcome *i* — curve,
-    collapse verdict, final accuracy, probe history, and (with
-    *keep_models*) final weights — is bit-identical to
-    ``resume_training(spec, checkpoint_paths[i], ...)``.
+    Replays exactly the batches an uninterrupted run would see from the
+    stored epoch onward; corrupted values in each checkpoint flow into its
+    model unchecked.  Every checkpoint loads through the same facade path,
+    then the replicas are stacked along a leading trial axis and trained in
+    one shared forward/backward pass (:mod:`repro.batched`).  Outcome *i* —
+    curve, collapse verdict, final accuracy, probe history, and (with
+    *keep_models*) final weights — is bit-identical to training checkpoint
+    *i* alone, as a stack of one.
 
     All checkpoints must come from the same spec (same architecture and
     stored epoch); that is what makes their trials batchable.
+
+    *health_probe* attaches a :class:`repro.health.ModelHealthProbe` to
+    each trial, first observing the checkpoint as loaded; its snapshots
+    come back in ``ResumeOutcome.health``.  Probing is read-only and
+    RNG-free, so probed and unprobed resumes are bit-identical.
 
     *trial_ids* (aligned with *checkpoint_paths*) are stamped onto the
     per-trial ``epoch`` and probe ``health`` events: every trial in the
@@ -532,8 +502,8 @@ def resume_training_batched(spec: SessionSpec, checkpoint_paths: list[str],
     probes = None
     if health_probe:
         probes = [ModelHealthProbe(trial_id=tid) for tid in trial_ids]
-        # epoch-0 snapshot of each corrupted checkpoint, mirroring the
-        # sequential path's pre-training observation
+        # epoch-0 snapshot: the (corrupted) checkpoint state itself, so the
+        # propagation join can see where the flip landed before any update
         for model, optimizer, probe in zip(models, optimizers, probes):
             probe.observe(model, optimizer, epoch=start_epoch)
     if epochs is None:

@@ -12,9 +12,9 @@ the checkpoint, flip bits, resume, and compare against the error-free
 restart.  Each is a :class:`FlipCampaign` declaration plus its trial grid
 and its table; this module holds the protocol once.  Its one trial body,
 :func:`run_flip_trials`, resumes a chunk of trials in one stacked training
-pass (:mod:`repro.batched`) — bit-identical per trial to the unstacked
-:func:`~.common.resume_training` (the ``tests/batched`` oracle) — and a
-sequential trial is a chunk of one.  Trials run on the campaign engine
+pass (:mod:`repro.batched`) — bit-identical per trial to that trial's
+:func:`~.common.resume_training`, a stack of one (the ``tests/batched``
+oracle) — and a sequential trial is a chunk of one.  Trials run on the campaign engine
 (:mod:`repro.experiments.runner`): journaled, resumable, parallel under
 ``workers`` and stacked under ``batch_trials`` (by default, in one
 process, in chunks as large as memory allows).

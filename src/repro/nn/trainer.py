@@ -40,12 +40,10 @@ class TrainingHistory:
     def collapsed(self) -> bool:
         return any(m.collapsed for m in self.epochs)
 
-    def accuracies(self, split: str = "test") -> list[float]:
-        key = "test_accuracy" if split == "test" else "train_accuracy"
-        return [getattr(m, key) for m in self.epochs]
-
-    def final_accuracy(self, split: str = "test") -> float | None:
-        values = [v for v in self.accuracies(split) if v is not None]
+    def final_accuracy(self) -> float | None:
+        """The last test accuracy measured, or None."""
+        values = [m.test_accuracy for m in self.epochs
+                  if m.test_accuracy is not None]
         return values[-1] if values else None
 
 
@@ -54,191 +52,77 @@ def _epoch_event(metrics: EpochMetrics, duration: float) -> None:
     telemetry.event("epoch", **asdict(metrics), duration=duration)
 
 
-class Trainer:
-    """Mini-batch SGD training with deterministic shuffling.
+class _TrialView:
+    """Read-only slice of one live trial of a stack, for a health probe.
 
-    Shuffling for epoch *e* is drawn from the named stream
-    ``("shuffle", e)`` — a pure function of the global seed and the epoch —
-    so resuming from a checkpoint at epoch 20 replays exactly the batches an
-    uninterrupted run would have seen (the property the paper's
-    deterministic-training methodology depends on).
+    Model-like (``named_parameters``/``named_state``) over the stacked
+    model and optimizer-like (``state_arrays``, shared scalars such as
+    ``step_count`` passed through) over the stacked optimizer; slice
+    *position* of every stacked array is bitwise that trial's own array.
     """
 
-    def __init__(self, model: Model, optimizer: Optimizer,
-                 batch_size: int = 32,
-                 stop_on_collapse: bool = True,
-                 epoch_callback: Callable[[int, "Trainer"], None] | None = None,
-                 scheduler=None,
-                 augmenter=None,
-                 health_probe=None):
-        self.model = model
-        self.optimizer = optimizer
-        self.batch_size = batch_size
-        self.stop_on_collapse = stop_on_collapse
-        self.epoch_callback = epoch_callback
-        self.scheduler = scheduler
-        self.augmenter = augmenter  # callable(images, epoch) -> images
-        # duck-typed repro.health.ModelHealthProbe: observe(model, opt, epoch)
-        self.health_probe = health_probe
-        self.history = TrainingHistory()
-        self.epoch = 0
-
-    def run_epoch(self, x: np.ndarray, labels: np.ndarray) -> EpochMetrics:
-        """Train one epoch; returns its metrics (not yet evaluated on test)."""
-        self.epoch += 1
-        if self.scheduler is not None:
-            # schedules are functions of the epoch number, so a restart at
-            # epoch k resumes the schedule rather than restarting it
-            self.scheduler.apply(self.epoch)
-        for layer in self.model.layers():
-            layer.on_epoch_start(self.epoch)
-        order = stream("shuffle", self.epoch).permutation(x.shape[0])
-        if self.augmenter is not None:
-            # augmentation is keyed by epoch, so restarts replay it exactly
-            x = self.augmenter(x, self.epoch)
-        losses: list[float] = []
-        correct = 0
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for start in range(0, x.shape[0], self.batch_size):
-                idx = order[start:start + self.batch_size]
-                batch = x[idx]
-                batch_labels = labels[idx]
-                logits = self.model.forward(batch, training=True)
-                loss, grad = F.softmax_cross_entropy_with_grad(
-                    logits, batch_labels
-                )
-                losses.append(float(loss))
-                correct += int(
-                    np.sum(np.argmax(logits, axis=1) == batch_labels)
-                )
-                self.model.backward(grad)
-                self.optimizer.step(self.model)
-        train_loss = float(np.mean(losses)) if losses else float("nan")
-        return EpochMetrics(
-            epoch=self.epoch,
-            train_loss=train_loss,
-            train_accuracy=correct / x.shape[0],
-            collapsed=(not np.isfinite(train_loss)
-                       or self.model.has_nonfinite_parameters()),
-        )
-
-    def fit(self, x: np.ndarray, labels: np.ndarray,
-            epochs: int,
-            x_test: np.ndarray | None = None,
-            labels_test: np.ndarray | None = None) -> TrainingHistory:
-        """Train for *epochs* epochs, evaluating after each one."""
-        with telemetry.span("train", epochs=epochs,
-                            batch_size=self.batch_size) as span:
-            for _ in range(epochs):
-                epoch_start = time.perf_counter()
-                metrics = self.run_epoch(x, labels)
-                if x_test is not None and not metrics.collapsed:
-                    with np.errstate(over="ignore", invalid="ignore",
-                                     divide="ignore"):
-                        test_loss, test_acc = self.model.evaluate(
-                            x_test, labels_test, self.batch_size
-                        )
-                    metrics.test_loss = test_loss
-                    metrics.test_accuracy = test_acc
-                    if not np.isfinite(test_loss):
-                        metrics.collapsed = True
-                self.history.append(metrics)
-                _epoch_event(metrics, time.perf_counter() - epoch_start)
-                if self.health_probe is not None:
-                    # read-only, RNG-free: probed runs stay bit-identical
-                    self.health_probe.observe(self.model, self.optimizer,
-                                              self.epoch)
-                if self.epoch_callback is not None:
-                    self.epoch_callback(self.epoch, self)
-                if metrics.collapsed and self.stop_on_collapse:
-                    break
-            span.set(epochs_run=len(self.history.epochs),
-                     final_accuracy=self.history.final_accuracy(),
-                     collapsed=self.history.collapsed)
-        return self.history
-
-
-# ---------------------------------------------------------------------------
-# Batched multi-trial training
-# ---------------------------------------------------------------------------
-
-class _TrialModelView:
-    """Read-only Model-like slice of one live trial in a stacked model.
-
-    Duck-typed for :class:`repro.health.ModelHealthProbe` — it only needs
-    ``named_parameters()``/``named_state()``, and slice *position* of every
-    stacked array is bitwise the corresponding sequential trial's array.
-    """
-
-    def __init__(self, model: Model, position: int):
-        self._model = model
+    def __init__(self, trainer: "BatchedTrainer", position: int):
+        self._trainer = trainer
         self._position = position
+
+    def _slice(self, arrays: dict) -> dict:
+        return {key: value[self._position] if np.ndim(value) else value
+                for key, value in arrays.items()}
 
     def named_parameters(self):
-        return {key: value[self._position]
-                for key, value in self._model.named_parameters().items()}
+        return self._slice(self._trainer.model.named_parameters())
 
     def named_state(self):
-        return {key: value[self._position]
-                for key, value in self._model.named_state().items()}
-
-
-class _TrialOptimizerView:
-    """Optimizer slice companion to :class:`_TrialModelView`: per-trial slot
-    buffers, shared scalars (``step_count``) passed through unchanged."""
-
-    def __init__(self, optimizer: Optimizer, position: int):
-        self._optimizer = optimizer
-        self._position = position
+        return self._slice(self._trainer.model.named_state())
 
     def state_arrays(self):
-        out = {}
-        for key, value in self._optimizer.state_arrays().items():
-            array = np.asarray(value)
-            out[key] = array[self._position] if array.ndim else array
-        return out
+        return self._slice(self._trainer.optimizer.state_arrays())
 
 
 class BatchedTrainer:
-    """Train T stacked weight replicas through one shared pass per batch.
+    """The epoch loop: T stacked weight replicas trained through one shared
+    pass per batch, or an unstacked model as a stack of one.
 
-    The model must have been stacked by :func:`repro.batched.stack_models`
-    (every concrete layer carries ``layer.trials`` and a leading trial axis
-    on its arrays).  Semantics mirror :class:`Trainer` *per trial*: the same
-    shuffle stream, the same loss/accuracy accounting, the same collapse
-    rule (non-finite train loss or any non-finite weight/state), the same
-    skip-eval-then-stop behaviour for collapsed trials.  The only difference
-    is mechanical: a collapsed trial is *pruned* from the stack (fancy-index
-    slicing, which copies survivors' bytes verbatim) instead of breaking the
-    loop, so survivors keep training while dead trials stop consuming
-    compute — the batched analogue of ``stop_on_collapse``.
+    Shuffling for epoch *e* is drawn from the named stream ``("shuffle",
+    e)`` — a pure function of the global seed and the epoch — and the
+    *scheduler* and *augmenter* (``augmenter(images, epoch) -> images``)
+    are keyed by the epoch too, so resuming from a checkpoint at epoch 20
+    replays exactly what an uninterrupted run would have seen (the
+    property the paper's deterministic-training methodology depends on).
 
-    ``probes`` takes one health probe per original trial; each is observed
-    through a per-trial slice view, so probe histories are bit-identical to
-    sequentially probed runs.  Schedulers and augmenters are not supported —
-    campaign resume paths use neither; callers needing them fall back to the
-    sequential :class:`Trainer`.
+    A model stacked by :func:`repro.batched.stack_models` has a leading
+    trial axis on every array.  An unstacked model gains a unit trial axis
+    at the model boundary only, on its logits, as :meth:`Layer.forward`
+    does on its activations; :meth:`run_epoch` and :meth:`fit` then return
+    its one result rather than a list.
 
-    Telemetry keeps :class:`Trainer`'s shape: each live trial emits its
-    ``epoch`` events (tagged with its ``trial_ids`` entry), and the ``train``
-    span's ``final_accuracy``/``collapsed`` hold one value per trial (a
-    bare value when there is one trial).
+    Per trial, an epoch's loss is the float64 mean of its batch losses, and
+    a non-finite train loss, weight, state or test loss collapses the
+    trial: it gets no test metrics and is *pruned* from the stack
+    (fancy-index slicing copies the survivors' bytes verbatim).  With no
+    survivor the arrays stay as they are and the loop stops.
+
+    ``probes`` holds one health probe per trial, observing it through a
+    slice view, so probe histories are bit-identical to the trial trained
+    alone.  Telemetry: each live trial emits its ``epoch`` events (tagged
+    with its ``trial_ids`` entry); the ``train`` span carries ``trials``
+    and ``final_accuracy``/``collapsed`` per trial (bare for one trial).
     """
 
     def __init__(self, model: Model, optimizer: Optimizer,
                  batch_size: int = 32,
                  probes: list | None = None,
-                 trial_ids: list | None = None):
-        trials = None
-        for layer in model.layers():
-            if layer.trials is not None:
-                trials = layer.trials
-                break
-        if trials is None:
-            raise ValueError(
-                "model has no trial axis; stack it with "
-                "repro.batched.stack_models first"
-            )
+                 trial_ids: list | None = None,
+                 epoch_callback: Callable[[int, "BatchedTrainer"], None]
+                 | None = None,
+                 scheduler=None,
+                 augmenter=None):
+        trials = next((layer.trials for layer in model.layers()
+                       if layer.trials is not None), None)
+        #: whether the model carries a trial axis; without one it runs as
+        #: a stack of one
+        self.stacked = trials is not None
+        trials = trials if self.stacked else 1
         if probes is not None and len(probes) != trials:
             raise ValueError(
                 f"got {len(probes)} probes for {trials} trials"
@@ -247,6 +131,9 @@ class BatchedTrainer:
         self.optimizer = optimizer
         self.batch_size = batch_size
         self.probes = probes
+        self.epoch_callback = epoch_callback
+        self.scheduler = scheduler
+        self.augmenter = augmenter
         self.trials = trials
         self.trial_ids = trial_ids or [None] * trials
         self.histories = [TrainingHistory() for _ in range(trials)]
@@ -259,51 +146,44 @@ class BatchedTrainer:
         self.epoch = 0
 
     # -- core loop ---------------------------------------------------------
-    def run_epoch(self, x: np.ndarray,
-                  labels: np.ndarray) -> list[EpochMetrics]:
-        """One epoch over all live trials; returns per-position metrics."""
+    def run_epoch(self, x: np.ndarray, labels: np.ndarray):
+        """One epoch over all live trials; returns per-position metrics
+        (not yet evaluated on test), or an unstacked model's one."""
         self.epoch += 1
+        if self.scheduler is not None:
+            self.scheduler.apply(self.epoch)
         for layer in self.model.layers():
             layer.on_epoch_start(self.epoch)
         order = stream("shuffle", self.epoch).permutation(x.shape[0])
+        if self.augmenter is not None:
+            x = self.augmenter(x, self.epoch)
         live = len(self.active)
         losses: list[list[float]] = [[] for _ in range(live)]
         correct = np.zeros(live, dtype=np.int64)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for start in range(0, x.shape[0], self.batch_size):
                 idx = order[start:start + self.batch_size]
-                batch = x[idx]
-                batch_labels = labels[idx]
-                stacked = np.broadcast_to(batch, (live,) + batch.shape)
-                logits = self.model.forward(stacked, training=True)
-                batch_losses, grad = F.softmax_cross_entropy_with_grad(
-                    logits, batch_labels
-                )
+                batch_losses, batch_correct = self._step(x[idx], labels[idx])
                 for pos in range(live):
                     losses[pos].append(float(batch_losses[pos]))
-                correct += np.sum(
-                    np.argmax(logits, axis=-1) == batch_labels, axis=-1
-                )
-                self.model.backward(grad)
-                self.optimizer.step(self.model)
+                correct += batch_correct
         nonfinite = self._nonfinite_trials()
         metrics = []
         for pos in range(live):
             train_loss = (float(np.mean(losses[pos])) if losses[pos]
                           else float("nan"))
-            collapsed = (not np.isfinite(train_loss)) or bool(nonfinite[pos])
             metrics.append(EpochMetrics(
-                epoch=self.epoch,
-                train_loss=train_loss,
+                epoch=self.epoch, train_loss=train_loss,
                 train_accuracy=int(correct[pos]) / x.shape[0],
-                collapsed=collapsed,
+                collapsed=not np.isfinite(train_loss) or bool(nonfinite[pos]),
             ))
-        return metrics
+        return metrics if self.stacked else metrics[0]
 
     def fit(self, x: np.ndarray, labels: np.ndarray, epochs: int,
             x_test: np.ndarray | None = None,
-            labels_test: np.ndarray | None = None) -> list[TrainingHistory]:
-        """Train for *epochs*; returns one history per original trial."""
+            labels_test: np.ndarray | None = None):
+        """Train for *epochs*, evaluating after each one; returns one
+        history per original trial, or an unstacked model's one."""
         with telemetry.span("train", epochs=epochs,
                             batch_size=self.batch_size,
                             trials=self.trials) as span:
@@ -312,6 +192,8 @@ class BatchedTrainer:
                     break
                 epoch_start = time.perf_counter()
                 metrics = self.run_epoch(x, labels)
+                if not self.stacked:
+                    metrics = [metrics]
                 if x_test is not None and not all(m.collapsed
                                                   for m in metrics):
                     with np.errstate(over="ignore", invalid="ignore",
@@ -332,12 +214,12 @@ class BatchedTrainer:
                     with telemetry.tag_scope(trial_id=self.trial_ids[trial]):
                         _epoch_event(m, duration)
                 if self.probes is not None:
+                    # read-only, RNG-free: probed runs stay bit-identical
                     for pos, trial in enumerate(self.active):
-                        self.probes[trial].observe(
-                            _TrialModelView(self.model, pos),
-                            _TrialOptimizerView(self.optimizer, pos),
-                            self.epoch,
-                        )
+                        self.probes[trial].observe(*self._views(pos),
+                                                   self.epoch)
+                if self.epoch_callback is not None:
+                    self.epoch_callback(self.epoch, self)
                 keep = np.array([not m.collapsed for m in metrics],
                                 dtype=bool)
                 if not keep.all():
@@ -350,21 +232,43 @@ class BatchedTrainer:
                 final_accuracy=finals[0] if single else finals,
                 collapsed=collapsed[0] if single else collapsed,
             )
-        return self.histories
+        return self.histories if self.stacked else self.histories[0]
+
+    def _step(self, batch: np.ndarray,
+              labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Train every live trial on one batch; returns per-trial losses
+        and per-trial counts of correct predictions."""
+        logits = self._forward(batch, training=True)
+        losses, grad = F.softmax_cross_entropy_with_grad(logits, labels)
+        correct = np.sum(np.argmax(logits, axis=-1) == labels, axis=-1)
+        self.model.backward(grad if self.stacked else grad[0])
+        self.optimizer.step(self.model)
+        return losses, correct
 
     # -- helpers -----------------------------------------------------------
+    def _forward(self, batch: np.ndarray, training: bool) -> np.ndarray:
+        """Every live trial's logits on *batch*, with the trial axis."""
+        if not self.stacked:
+            return self.model.forward(batch, training=training)[None]
+        stacked = np.broadcast_to(batch, (len(self.active),) + batch.shape)
+        return self.model.forward(stacked, training=training)
+
     def _evaluate(self, x: np.ndarray,
                   labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Stacked mirror of ``Model.evaluate``: per-trial (loss, accuracy)."""
-        live = len(self.active)
-        outputs = []
-        for start in range(0, x.shape[0], self.batch_size):
-            batch = x[start:start + self.batch_size]
-            stacked = np.broadcast_to(batch, (live,) + batch.shape)
-            outputs.append(self.model.forward(stacked, training=False))
+        outputs = [self._forward(x[start:start + self.batch_size],
+                                 training=False)
+                   for start in range(0, x.shape[0], self.batch_size)]
         logits = np.concatenate(outputs, axis=1)
         probs = F.softmax(logits)
         return F.cross_entropy(probs, labels), F.accuracy(logits, labels)
+
+    def _views(self, position: int) -> tuple:
+        """The model and optimizer a probe observes for *position*."""
+        if not self.stacked:
+            return self.model, self.optimizer
+        view = _TrialView(self, position)
+        return view, view
 
     def _nonfinite_trials(self) -> np.ndarray:
         """Per-position mirror of ``Model.has_nonfinite_parameters``."""
@@ -390,7 +294,8 @@ class BatchedTrainer:
         for layer in self.model.layers():
             for group in (layer.params, layer.state):
                 for key, value in group.items():
-                    out[(layer.name, key)] = value[position].copy()
+                    stack = value if self.stacked else value[None]
+                    out[(layer.name, key)] = stack[position].copy()
         return out
 
     def _prune(self, keep: np.ndarray) -> None:
@@ -398,19 +303,48 @@ class BatchedTrainer:
 
         Survivor slices are fancy-index copies — their bytes are untouched,
         which is what keeps post-prune training bit-identical to sequential
-        runs of the surviving trials.
+        runs of the surviving trials.  With no survivor the arrays stay as
+        they are: the loop stops, and a lone model keeps the weights it
+        collapsed with.
         """
         for position, trial in enumerate(self.active):
             if not keep[position]:
                 self.snapshots[trial] = self._slice_arrays(position)
-        survivors = int(keep.sum())
+        self.active = [trial for trial, kept in zip(self.active, keep)
+                       if kept]
+        if not self.active:
+            return
         for layer in self.model.layers():
             for group in (layer.params, layer.state, layer.grads):
                 for key, value in group.items():
                     group[key] = value[keep]
-            layer.trials = survivors
+            layer.trials = len(self.active)
         for slots in self.optimizer.slot_dicts():
             for key, value in slots.items():
                 slots[key] = value[keep]
-        self.active = [trial for trial, kept in zip(self.active, keep)
-                       if kept]
+
+
+class Trainer(BatchedTrainer):
+    """The epoch loop over one unstacked model, as a stack of one.
+
+    *health_probe* (a duck-typed :class:`repro.health.ModelHealthProbe`)
+    observes the model and optimizer after every epoch; :attr:`history`
+    holds the epochs trained so far.
+    """
+
+    def __init__(self, model: Model, optimizer: Optimizer,
+                 batch_size: int = 32,
+                 epoch_callback: Callable[[int, "Trainer"], None] | None = None,
+                 scheduler=None,
+                 augmenter=None,
+                 health_probe=None):
+        super().__init__(
+            model, optimizer, batch_size=batch_size,
+            probes=None if health_probe is None else [health_probe],
+            epoch_callback=epoch_callback, scheduler=scheduler,
+            augmenter=augmenter,
+        )
+
+    @property
+    def history(self) -> TrainingHistory:
+        return self.histories[0]

@@ -70,6 +70,11 @@ def registered_kinds() -> list[str]:
     return sorted(PLAN_BUILDERS)
 
 
+def _is_int(value) -> bool:
+    """An integer that is not a bool (``isinstance(True, int)`` holds)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class CampaignSpec:
     """Everything needed to (re)build one campaign's trial plan.
@@ -139,11 +144,11 @@ class CampaignSpec:
 
         if not self.kind or not isinstance(self.kind, str):
             raise ValueError("kind must be a non-empty string")
-        if self.scale not in SCALES:
+        if not isinstance(self.scale, str) or self.scale not in SCALES:
             raise ValueError(
                 f"unknown scale {self.scale!r}; choose from {sorted(SCALES)}"
             )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+        if not _is_int(self.seed):
             raise ValueError("seed must be an integer")
         if not isinstance(self.params, dict):
             raise ValueError("params must be a dict")
@@ -156,21 +161,26 @@ class CampaignSpec:
         if self.engine not in ("scalar", "vectorized"):
             raise ValueError(f"bad engine: {self.engine!r}")
         if self.batch_trials is not None and (
-                not isinstance(self.batch_trials, int)
-                or self.batch_trials < 1):
+                not _is_int(self.batch_trials) or self.batch_trials < 1):
             raise ValueError("batch_trials must be a positive integer "
                              "when set")
-        if self.trial_timeout is not None and not self.trial_timeout > 0:
-            raise ValueError("trial_timeout must be positive when set")
-        if not isinstance(self.retries, int) or self.retries < 0:
+        for flag in ("health_probe", "validate_checkpoints"):
+            if not isinstance(getattr(self, flag), bool):
+                raise ValueError(f"{flag} must be a boolean")
+        if self.trial_timeout is not None and (
+                isinstance(self.trial_timeout, bool)
+                or not isinstance(self.trial_timeout, (int, float))
+                or not self.trial_timeout > 0):
+            raise ValueError("trial_timeout must be a positive number "
+                             "when set")
+        if not _is_int(self.retries) or self.retries < 0:
             raise ValueError("retries must be a non-negative integer")
-        if not isinstance(self.priority, int) or isinstance(self.priority,
-                                                            bool):
+        if not _is_int(self.priority):
             raise ValueError("priority must be an integer")
         if self.max_trials is not None and (
-                not isinstance(self.max_trials, int) or self.max_trials < 1):
+                not _is_int(self.max_trials) or self.max_trials < 1):
             raise ValueError("max_trials must be a positive integer when set")
-        if not isinstance(self.version, int) or self.version < 1:
+        if not _is_int(self.version) or self.version < 1:
             raise ValueError("version must be a positive integer")
         if self.version > SPEC_VERSION:
             raise ValueError(

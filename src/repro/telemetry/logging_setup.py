@@ -23,8 +23,25 @@ VERBOSITY_LEVELS = {
 }
 
 
+class _ProcessStreamHandler(logging.StreamHandler):
+    """Writes to ``sys.stdout`` or ``sys.stderr`` as it is at emit time, so
+    a capture swapped in at setup and closed since loses no record."""
+
+    def __init__(self, name: str):
+        logging.Handler.__init__(self)
+        self._name = name
+
+    @property
+    def stream(self):
+        return getattr(sys, self._name)
+
+
 def setup_logging(verbosity: str = "info", stream=None) -> logging.Logger:
     """Configure the ``repro`` logger for a CLI invocation.
+
+    Logs go to *stream*, by default standard output.  The process's own
+    standard output or error is looked up at each record, so a later swap
+    of ``sys.stdout``/``sys.stderr`` is followed; any other stream is kept.
 
     Idempotent: prior handlers installed by this function are replaced, so
     repeated ``main()`` calls (tests, notebooks) never duplicate output.
@@ -40,8 +57,12 @@ def setup_logging(verbosity: str = "info", stream=None) -> logging.Logger:
     logger = logging.getLogger("repro")
     for handler in list(logger.handlers):
         logger.removeHandler(handler)
-    handler = logging.StreamHandler(stream if stream is not None
-                                    else sys.stdout)
+    if stream is None or stream is sys.stdout:
+        handler = _ProcessStreamHandler("stdout")
+    elif stream is sys.stderr:
+        handler = _ProcessStreamHandler("stderr")
+    else:
+        handler = logging.StreamHandler(stream)
     handler.setFormatter(logging.Formatter(LOG_FORMAT, datefmt=DATE_FORMAT))
     logger.addHandler(handler)
     logger.setLevel(level)

@@ -1,9 +1,9 @@
 """Shared oracle helpers for the batched-execution test battery.
 
-The battery's single invariant: every per-trial observable of a batched run
+The battery's single invariant: every per-trial observable of a stack of N
 — final weights, per-epoch health-probe stats, accuracy curve, collapse
-verdict, outcome label — is *bytewise* equal to the sequential run of the
-same corrupted checkpoint.  Plain ``==`` is the wrong tool for half of
+verdict, outcome label — is *bytewise* equal to the same corrupted
+checkpoint trained alone, as a stack of one (``resume_training``).  Plain ``==`` is the wrong tool for half of
 those: NaN never equals itself, and every first probe snapshot carries an
 ``update_l2`` of NaN, so the comparisons here are NaN-aware (two NaNs in
 the same slot count as equal) and arrays compare via ``tobytes()``.

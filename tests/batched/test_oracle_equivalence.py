@@ -2,10 +2,13 @@
 
 Every test corrupts N private checkpoint copies (same injector seeds for
 both paths, so the corrupted bytes entering each path are identical by
-construction), resumes them once sequentially and once stacked, and asserts
-the per-trial observables are bytewise equal: final weights *and* optimizer
-/ batch-norm state, per-epoch health-probe stats, accuracy curves, collapse
-verdicts, and outcome labels.
+construction), resumes each alone as a stack of one (``resume_training``)
+and all of them as one stack of N, and asserts the per-trial observables
+are bytewise equal: final weights *and* optimizer / batch-norm state,
+per-epoch health-probe stats, accuracy curves, collapse verdicts, and
+outcome labels.  The lone-model path, a ``Trainer`` over an unstacked
+model, is checked against a one-trial stack in
+``tests/nn/test_lifted_trainer.py``.
 
 The hypothesis property sweeps model family x precision x bit position x
 batch size (1, 2, 7, 16); the explicit cases pin the collapse coverage —

@@ -180,8 +180,7 @@ class TestTrainerDeterminism:
         x, y = toy_problem()
         model = tiny_mlp()
         model.get_layer("fc1").params["W"][0, 0] = np.inf
-        trainer = Trainer(model, SGD(lr=0.05), batch_size=16,
-                          stop_on_collapse=True)
+        trainer = Trainer(model, SGD(lr=0.05), batch_size=16)
         history = trainer.fit(x, y, epochs=5)
         assert history.collapsed
         assert len(history.epochs) == 1

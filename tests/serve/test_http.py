@@ -166,6 +166,17 @@ class TestErrorStatuses:
         assert excinfo.value.status == 400
         assert "no plan builder" in str(excinfo.value)
 
+    def test_mistyped_field_400(self, service):
+        _, client = service
+        request = urllib.request.Request(
+            client.base_url + "/campaigns",
+            data=json.dumps({"kind": "serve_echo",
+                             "trial_timeout": "5"}).encode(),
+            headers={"Content-Type": "application/json"}, method="POST")
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=5)
+        assert excinfo.value.code == 400
+
     def test_garbage_body_400(self, service):
         _, client = service
         request = urllib.request.Request(

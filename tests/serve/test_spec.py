@@ -38,6 +38,15 @@ class TestValidation:
         {"params": {"x": float("nan")}},
         {"params": "not-a-dict"},
         {"version": SPEC_VERSION + 1},
+        {"batch_trials": True},
+        {"retries": True},
+        {"max_trials": True},
+        {"version": True},
+        {"trial_timeout": True},
+        {"trial_timeout": "5"},
+        {"health_probe": "false"},
+        {"validate_checkpoints": 1},
+        {"scale": []},
     ])
     def test_rejects_bad_fields(self, overrides):
         payload = {"kind": "fig3", **overrides}

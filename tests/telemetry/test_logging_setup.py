@@ -2,6 +2,7 @@
 
 import io
 import logging
+import sys
 
 import pytest
 
@@ -66,3 +67,22 @@ def test_quiet_suppresses_info():
     logging.getLogger("repro.x").warning("visible")
     assert "invisible" not in stream.getvalue()
     assert "visible" in stream.getvalue()
+
+
+@pytest.mark.parametrize("name, captured_as", [("stdout", "out"),
+                                               ("stderr", "err")])
+def test_process_stream_is_looked_up_per_record(name, captured_as, capsys):
+    """A capture swapped in while logging was set up, then closed, must not
+    swallow later records: they go to the stream current at emit time."""
+    original = getattr(sys, name)
+    swapped = io.StringIO()
+    setattr(sys, name, swapped)
+    try:
+        setup_logging("info", stream=None if name == "stdout" else swapped)
+    finally:
+        swapped.close()
+        setattr(sys, name, original)
+    logging.getLogger("repro.x").warning("still heard")
+    captured = capsys.readouterr()
+    assert "repro.x: still heard" in getattr(captured, captured_as)
+    assert "Logging error" not in captured.err
