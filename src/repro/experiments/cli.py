@@ -33,6 +33,7 @@ from .watch import (
     add_fleet_arguments,
     add_watch_arguments,
     fleet_command,
+    non_positive,
     watch_command,
 )
 
@@ -294,6 +295,11 @@ def serve_command(args: argparse.Namespace) -> int:
     from ..serve.shards import write_json_atomic
     from ..serve.store import CampaignStore
 
+    error = non_positive(args, "shard_size", "max_active", "lease_ttl",
+                         "poll")
+    if error:
+        print(error, file=sys.stderr)
+        return 2
     if args.telemetry:
         # configure before forking: workers inherit the JSONL sink
         telemetry.configure(jsonl=args.telemetry)

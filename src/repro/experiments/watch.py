@@ -513,6 +513,16 @@ def build_fleet_server(watch: FleetWatch, port: int,
 # CLI
 # ---------------------------------------------------------------------------
 
+def non_positive(args: argparse.Namespace, *dests: str) -> str | None:
+    """The one-line usage error for the first option among *dests* (their
+    ``argparse`` destinations) whose value is not positive, else None."""
+    for dest in dests:
+        value = getattr(args, dest)
+        if not value > 0:
+            return f"--{dest.replace('_', '-')} must be positive, got {value}"
+    return None
+
+
 def add_watch_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("journal", nargs="?", default=None,
                         help="campaign journal JSONL to tail (omit with "
@@ -540,6 +550,10 @@ def add_watch_arguments(parser: argparse.ArgumentParser) -> None:
 
 def watch_command(args: argparse.Namespace) -> int:
     """The ``watch`` subcommand body."""
+    error = non_positive(args, "interval")
+    if error:
+        print(error, file=sys.stderr)
+        return 2
     if getattr(args, "fleet", None):
         return fleet_command(args)
     if args.journal is None:
@@ -600,6 +614,10 @@ def add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
 
 def fleet_command(args: argparse.Namespace) -> int:
     """The ``fleet`` subcommand body (also ``watch --fleet ROOT``)."""
+    error = non_positive(args, "interval")
+    if error:
+        print(error, file=sys.stderr)
+        return 2
     root = getattr(args, "root", None) or getattr(args, "fleet", None)
     watch = FleetWatch(root)
     server = None

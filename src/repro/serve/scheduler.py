@@ -97,6 +97,8 @@ class ServeWorker:
     def __init__(self, store: CampaignStore, owner: str | None = None,
                  cache=None, poll: float = 0.2,
                  shard_telemetry: bool = True):
+        if not poll > 0:
+            raise ValueError("poll must be positive")
         self.store = store
         self.owner = owner or f"worker-{os.getpid()}"
         self.cache = cache

@@ -78,6 +78,16 @@ class CampaignStore:
 
     def __init__(self, root: str, max_active: int = 64,
                  shard_size: int = 8, lease_ttl: float = 30.0):
+        # a zero or negative bound never works: shard_size fails every
+        # plan, max_active refuses every submission, and a lease_ttl that
+        # is not positive expires every lease at once, so a second worker
+        # could reclaim a shard that is still running
+        for name, value in (("shard_size", shard_size),
+                            ("max_active", max_active)):
+            if value < 1:
+                raise ValueError(f"{name} must be a positive integer")
+        if not lease_ttl > 0:
+            raise ValueError("lease_ttl must be positive")
         self.root = root
         self.max_active = max_active
         self.shard_size = shard_size

@@ -221,3 +221,31 @@ def test_telemetry_subcommand_json_summary(tmp_path, capsys):
 def test_telemetry_subcommand_missing_stream(tmp_path, capsys):
     assert main(["telemetry", str(tmp_path / "absent.jsonl")]) == 1
     assert "no telemetry events" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["serve", "--shard-size", "0"], "--shard-size must be positive"),
+    (["serve", "--max-active", "0"], "--max-active must be positive"),
+    (["serve", "--poll", "-1"], "--poll must be positive"),
+    (["serve", "--lease-ttl", "0"], "--lease-ttl must be positive"),
+    (["serve", "--lease-ttl", "-3"], "--lease-ttl must be positive"),
+    (["watch", "journal.jsonl", "--interval", "-1"],
+     "--interval must be positive"),
+    (["watch", "--fleet", "ROOT", "--interval", "0"],
+     "--interval must be positive"),
+    (["fleet", "ROOT", "--interval", "-1"], "--interval must be positive"),
+])
+def test_non_positive_service_setting_is_a_usage_error(tmp_path, capsys,
+                                                       argv, message):
+    """Refused with one line on stderr before anything starts: no store,
+    no worker, no frame."""
+    root = tmp_path / "root"
+    argv = [str(root) if arg == "ROOT" else arg for arg in argv]
+    if argv[0] == "serve":
+        argv += ["--root", str(root)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert len(captured.err.strip().splitlines()) == 1
+    assert message in captured.err
+    assert captured.out == ""
+    assert not root.exists()

@@ -93,6 +93,27 @@ class TestStoreLifecycle:
         assert worker.served == []
         assert store.status(cid)["state"] == "cancelled"
 
+    @pytest.mark.parametrize("bounds, message", [
+        (dict(shard_size=0), "shard_size must be a positive integer"),
+        (dict(max_active=0), "max_active must be a positive integer"),
+        (dict(lease_ttl=0.0), "lease_ttl must be positive"),
+        (dict(lease_ttl=-5.0), "lease_ttl must be positive"),
+    ])
+    def test_non_positive_bounds_are_refused(self, tmp_path, bounds,
+                                             message):
+        root = tmp_path / "root"
+        with pytest.raises(ValueError, match=message):
+            CampaignStore(str(root), **bounds)
+        assert not root.exists()
+
+    @pytest.mark.parametrize("poll", [0.0, -1.0])
+    def test_non_positive_poll_is_refused(self, tmp_path, poll):
+        store = CampaignStore(str(tmp_path))
+        with pytest.raises(ValueError, match="poll must be positive"):
+            ServeWorker(store, owner="w", poll=poll)
+        with pytest.raises(ValueError, match="poll must be positive"):
+            run_worker(str(tmp_path), poll=poll, drain=True)
+
 
 class TestFairScheduling:
     def test_round_robin_within_a_priority_tier(self, tmp_path):
