@@ -150,8 +150,9 @@ class DataParallelTrainer(Trainer):
         while len(per_worker) < self.num_workers:
             per_worker.append(per_worker[-1])
         averaged, _ = self.horovod.allreduce(per_worker)
+        # in place: the optimizer's flat gradient buffer holds these arrays
         for layer in self.model.parameter_layers():
-            for key in layer.grads:
-                layer.grads[key] = averaged[f"{layer.name}/{key}"]
+            for key, grad in layer.grads.items():
+                grad[...] = averaged[f"{layer.name}/{key}"]
         self.optimizer.step(self.model)
         return [loss / len(labels)], [correct]

@@ -23,7 +23,11 @@ class Model:
         self.net = net
         self.num_classes = num_classes
         self.policy = get_policy(policy)
-        names = [layer.name for layer in self.parameter_layers()]
+        # the layer tree is fixed from here on: list it once
+        self._layers = net.sublayers()
+        self._parameter_layers = [layer for layer in self._layers
+                                  if layer.params]
+        names = [layer.name for layer in self._parameter_layers]
         duplicates = {n for n in names if names.count(n) > 1}
         if duplicates:
             raise ValueError(f"duplicate layer names: {sorted(duplicates)}")
@@ -67,10 +71,10 @@ class Model:
 
     # -- parameters ----------------------------------------------------------
     def layers(self) -> list[Layer]:
-        return self.net.sublayers()
+        return self._layers
 
     def parameter_layers(self) -> list[Layer]:
-        return [layer for layer in self.layers() if layer.params]
+        return self._parameter_layers
 
     def named_parameters(self) -> dict[tuple[str, str], np.ndarray]:
         out: dict[tuple[str, str], np.ndarray] = {}
