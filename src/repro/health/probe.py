@@ -42,7 +42,8 @@ def array_stats(array: np.ndarray,
     *finite* elements so one NaN doesn't blank the rest of the signal; the
     NaN/Inf counts report the non-finite population separately.
     """
-    flat = np.asarray(array, dtype=np.float64).reshape(-1)
+    with np.errstate(invalid="ignore"):  # a signaling NaN quiets in the cast
+        flat = np.asarray(array, dtype=np.float64).reshape(-1)
     finite_mask = np.isfinite(flat)
     nan_count = int(np.isnan(flat).sum())
     inf_count = int(np.isinf(flat).sum())
@@ -160,7 +161,8 @@ class ModelHealthProbe:
         layers: dict[str, dict[str, float]] = {}
         fresh: dict[str, np.ndarray] = {}
         for name, array in self._arrays(model, optimizer).items():
-            flat = np.asarray(array, dtype=np.float64).reshape(-1).copy()
+            with np.errstate(invalid="ignore"):  # quiets a signaling NaN
+                flat = np.asarray(array, dtype=np.float64).reshape(-1).copy()
             layers[name] = array_stats(flat, self._previous.get(name))
             if self.track_updates:
                 fresh[name] = flat

@@ -603,11 +603,14 @@ def _apply_rounds(plan, store, t_idx: int,
     done = ordinals[members]
     olds = np.concatenate(olds)
     news = np.concatenate(news)
+    # a flip can leave a signaling NaN, which the cast quiets: a correct
+    # value, but numpy flags it as an invalid operation
+    with np.errstate(invalid="ignore"):
+        values = olds.astype(np.float64), news.astype(np.float64)
     part = (done, np.full(len(done), t_idx), idx[members], plan.draws[done],
             np.ones(len(done), dtype=np.int64),
             bitops.float_to_bits_array(olds, precision),
-            bitops.float_to_bits_array(news, precision),
-            olds.astype(np.float64), news.astype(np.float64))
+            bitops.float_to_bits_array(news, precision), *values)
     return part, ordinals[diverted].tolist()
 
 

@@ -116,11 +116,13 @@ class Model:
     def has_nonfinite_parameters(self) -> bool:
         """True when any weight or persistent buffer is NaN/Inf — the
         paper's signature of a collapsed network."""
+        # no float64 cast: it would flag a flipped-in signaling NaN as an
+        # invalid operation, and isfinite reads every float width as is
         for value in self.named_parameters().values():
-            if not np.all(np.isfinite(value.astype(np.float64))):
+            if not np.all(np.isfinite(value)):
                 return True
         for value in self.named_state().values():
-            if not np.all(np.isfinite(value.astype(np.float64))):
+            if not np.all(np.isfinite(value)):
                 return True
         return False
 

@@ -302,8 +302,9 @@ class BatchedTrainer:
         for layer in self.model.layers():
             for group in (layer.params, layer.state):
                 for value in group.values():
-                    flat = value.astype(np.float64).reshape(live, -1)
-                    mask |= ~np.isfinite(flat).all(axis=1)
+                    # isfinite on the array's own width: a float64 cast
+                    # flags a flipped-in signaling NaN as invalid
+                    mask |= ~np.isfinite(value).reshape(live, -1).all(axis=1)
         return mask
 
     def trial_arrays(self, trial: int) -> dict[tuple[str, str], np.ndarray]:
