@@ -34,7 +34,9 @@ def format_dataset(dataset: Dataset, stats: bool = False) -> str:
     line = f"{dataset.name}  [{shape} {dataset.dtype}] ({layout})"
     if stats and dataset.dtype.kind == "f" and dataset.size:
         view = dataset.view()  # zero-copy for contiguous storage
-        data = (dataset.read() if view is None else view).astype(np.float64)
+        with np.errstate(invalid="ignore"):  # quiets a signaling NaN
+            data = (dataset.read() if view is None else view).astype(
+                np.float64)
         finite = data[np.isfinite(data)]
         nev = data.size - finite.size
         if finite.size:
