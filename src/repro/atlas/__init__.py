@@ -15,7 +15,7 @@ Layers, all stdlib + numpy:
   under re-ingest);
 * :mod:`repro.atlas.ingest` — :class:`AtlasIngester`, the offset-resumable
   walk over campaign roots and journals via the torn-line-tolerant
-  :class:`~repro.telemetry.fleet.JsonlTail`, joining each trial with a
+  :class:`~repro.durable.JsonlTail`, joining each trial with a
   summary of its flips folded straight from the injector's one ``flips``
   line of columns per injection (:func:`repro.telemetry.read_events`, no
   per-flip decoding; per-flip ``flip`` lines of older streams fold the

@@ -9,9 +9,9 @@ The ingester walks two kinds of inputs:
   with explicit telemetry streams.
 
 Each journal is tailed through the torn-line-tolerant, offset-resumable
-:class:`~repro.telemetry.fleet.JsonlTail` — never raw file reads (the
-``atlas-ingest-offsets`` lint rule pins this) — from the byte offset the
-catalog recorded last time.  Telemetry streams are read as written
+:class:`~repro.durable.JsonlTail` — never raw file reads (the
+``durable-io`` lint rule pins this) — from the byte offset the catalog
+recorded last time.  Telemetry streams are read as written
 through :func:`repro.telemetry.read_events`, one event at a time, and
 never decoded: each injector ``flips`` line's columns (and each per-flip
 ``flip`` event of a stream older than that format) fold straight into its
@@ -33,9 +33,9 @@ import os
 from dataclasses import dataclass
 
 from .. import telemetry
+from ..durable import JsonlTail
 from ..health.outcome import classify_trial_record
 from ..telemetry.aggregate import FLIP_COLUMNS
-from ..telemetry.fleet import JsonlTail
 from .store import CHUNK_ROWS, MULTI, UNKNOWN, AtlasStore, segment_name
 
 

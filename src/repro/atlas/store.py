@@ -18,10 +18,10 @@ ingests interleaved anywhere, a ``kill -9`` between any two writes) never
 changes the final bytes: re-running ingest converges on the identical
 store, which :meth:`AtlasStore.fingerprint` makes checkable in one call.
 
-Commits are atomic (``tempfile`` in-directory + ``os.replace``), and the
-catalog is only written *after* the segments it references, so a crash
-window leaves at worst an orphaned-but-correct segment that the next
-ingest re-creates bit-for-bit before completing the catalog.
+Commits are :func:`repro.durable.atomic_write` calls, and the catalog is
+only written *after* the segments it references, so a crash window leaves
+at worst an orphaned-but-correct segment that the next ingest re-creates
+bit-for-bit before completing the catalog.
 """
 
 from __future__ import annotations
@@ -29,9 +29,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 
 import numpy as np
+
+from ..durable import atomic_write
 
 #: Rows per full segment.  A boundary every CHUNK_ROWS journal rows is a
 #: positional property of the source file, which is what makes segment
@@ -70,23 +71,6 @@ def source_hash(source_key: str) -> str:
 
 def segment_name(source_key: str, chunk_index: int) -> str:
     return f"{source_hash(source_key)}-{chunk_index:06d}.seg"
-
-
-def _atomic_write(path: str, data: bytes) -> None:
-    directory = os.path.dirname(path)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def encode_segment(source_key: str, chunk_index: int,
@@ -166,9 +150,9 @@ class AtlasStore:
             return {"version": 1, "sources": {}}
 
     def write_catalog(self, catalog: dict) -> None:
-        _atomic_write(self.catalog_path,
-                      json.dumps(catalog, sort_keys=True,
-                                 indent=2).encode("utf-8") + b"\n")
+        atomic_write(self.catalog_path,
+                     json.dumps(catalog, sort_keys=True,
+                                indent=2).encode("utf-8") + b"\n")
 
     # -- segments ----------------------------------------------------------
 
@@ -193,8 +177,8 @@ class AtlasStore:
         kill-9 recovery path — is a no-op at the byte level.
         """
         name = segment_name(source_key, chunk_index)
-        _atomic_write(os.path.join(self.segments_dir, name),
-                      encode_segment(source_key, chunk_index, rows))
+        atomic_write(os.path.join(self.segments_dir, name),
+                     encode_segment(source_key, chunk_index, rows))
         return name
 
     def segment_bytes(self, name: str) -> bytes:

@@ -289,10 +289,10 @@ def serve_command(args: argparse.Namespace) -> int:
     import os
     import threading
 
+    from ..durable import write_json
     from ..nn import blas
     from ..serve.app import build_app_server
     from ..serve.scheduler import run_worker
-    from ..serve.shards import write_json_atomic
     from ..serve.store import CampaignStore
 
     error = non_positive(args, "shard_size", "max_active", "lease_ttl",
@@ -326,7 +326,7 @@ def serve_command(args: argparse.Namespace) -> int:
             process.start()
             workers.append(process)
 
-        write_json_atomic(os.path.join(store.root, "server.json"), {
+        write_json(os.path.join(store.root, "server.json"), {
             "url": f"http://{host}:{port}",
             "host": host, "port": port, "pid": os.getpid(),
             "workers": [process.pid for process in workers],

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .. import hdf5
+from .. import durable, hdf5
 from ..batched import run_stacked_training
 from ..data import synthetic_cifar10
 from ..frameworks import get_facade, set_global_determinism
@@ -33,7 +33,6 @@ from ..health import ModelHealthProbe, last_finite
 from ..nn import SGD, Trainer, rng
 from ..nn.layers import Layer
 from ..nn.model import Model
-from .locking import FileLock
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +251,6 @@ class Baseline:
     final_accuracy: float
 
 
-def _fsync_path(path: str) -> None:
-    """Flush *path*'s written bytes to disk before it is committed."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 class BaselineCache:
     """Disk cache of baseline trainings keyed by :meth:`SessionSpec.cache_key`.
 
@@ -269,12 +259,13 @@ class BaselineCache:
     ``REPRO_CACHE_DIR`` environment variable to relocate it.
 
     The cache is safe for concurrent use by campaign workers: entries are
-    committed by writing the checkpoints first and an atomically-replaced
+    committed through :mod:`repro.durable`, the checkpoints first and
     ``meta.json`` last (its presence is the commit marker), and a per-key
-    lock file ensures exactly one process trains a missing baseline while
-    the others wait and then read the result.  A truncated or torn
-    ``meta.json`` (crash mid-write predating the atomic protocol) is
-    detected and retrained rather than poisoning every subsequent run.
+    :class:`~repro.durable.Lease` without a ttl (broken only when its
+    holder's pid is dead) ensures exactly one process trains a missing
+    baseline while the others wait and then read the result.  A truncated
+    or torn ``meta.json`` (crash mid-write predating the atomic protocol)
+    is detected and retrained rather than poisoning every subsequent run.
     """
 
     #: max seconds a worker waits for another process to finish training a
@@ -309,8 +300,8 @@ class BaselineCache:
         if cached is not None:
             return cached
 
-        with FileLock(os.path.join(directory, ".lock"),
-                      timeout=self.lock_timeout):
+        with durable.Lease(os.path.join(directory, ".lock")).acquire(
+                self.lock_timeout):
             # another worker may have trained while we waited for the lock
             cached = self._load(spec, directory)
             if cached is not None:
@@ -320,23 +311,13 @@ class BaselineCache:
             # meta.json last — readers only trust complete entries.
             suffix = f".tmp.{os.getpid()}"
             baseline = self._train(spec, ckpt + suffix, final + suffix)
-            # save_checkpoint leaves the bytes in the page cache; the
-            # renames below are durable *before* unsynced data is, so a
-            # crash in between would commit a name pointing at garbage
-            _fsync_path(ckpt + suffix)
-            _fsync_path(final + suffix)
-            os.replace(ckpt + suffix, ckpt)
-            os.replace(final + suffix, final)
-            meta = {
+            durable.publish(ckpt + suffix, ckpt)
+            durable.publish(final + suffix, final)
+            durable.write_json(meta_path, {
                 "accuracy_curve": baseline.accuracy_curve,
                 "resumed_curve": baseline.resumed_curve,
                 "final_accuracy": baseline.final_accuracy,
-            }
-            with open(meta_path + suffix, "w") as handle:
-                json.dump(meta, handle)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(meta_path + suffix, meta_path)
+            })
             return replace(baseline, checkpoint_path=ckpt, final_path=final)
 
     def _load(self, spec: SessionSpec, directory: str) -> Baseline | None:

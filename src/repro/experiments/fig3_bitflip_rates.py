@@ -311,7 +311,7 @@ def run(scale="tiny", seed: int = 42, pairs=DEFAULT_PAIRS,
         spec=None) -> ExperimentResult:
     """Regenerate Fig 3 (accuracy curves per flip rate).
 
-    Pass ``spec`` (a :class:`CampaignSpec`; ad-hoc dicts are deprecated)
+    Pass ``spec`` (a :class:`CampaignSpec`; a dict raises ``TypeError``)
     to pin the whole campaign in one object — the legacy keyword grid is
     folded into an equivalent spec otherwise, so both invocation styles
     build byte-identical trial plans.

@@ -46,6 +46,7 @@ from typing import Callable, Iterable
 
 from .. import telemetry
 from ..analysis.campaign import CampaignStats
+from ..durable import append_fsynced
 from ..health.outcome import classify_trial_record
 from ..nn import blas
 
@@ -205,10 +206,11 @@ class TrialRecord:
 class Journal:
     """Append-only JSONL journal of terminal trial records.
 
-    Every append is flushed and fsynced, so after ``kill -9`` the journal
-    holds every completed trial plus at most one torn final line, which
-    :meth:`load` tolerates (a torn write can only be the last line of an
-    append-only file).
+    Every append is one fsynced write
+    (:func:`repro.durable.append_fsynced`), so after ``kill -9`` the
+    journal holds every completed trial plus at most one torn final line,
+    which :meth:`load` tolerates (a torn write can only be the last line
+    of an append-only file).
     """
 
     def __init__(self, path: str):
@@ -217,10 +219,8 @@ class Journal:
         os.makedirs(parent, exist_ok=True)
 
     def append(self, record: TrialRecord) -> None:
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(record.to_json_line() + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        append_fsynced(self.path,
+                       (record.to_json_line() + "\n").encode("utf-8"))
 
     def repair(self) -> int:
         """Truncate a torn trailing line; returns the bytes removed.

@@ -35,6 +35,7 @@ import time
 from dataclasses import dataclass, field
 from http.server import ThreadingHTTPServer
 
+from ..durable import JsonlTail
 from ..health.outcome import CRASHED, OUTCOMES
 from ..serve.httpd import (
     PROMETHEUS_CTYPE,
@@ -50,7 +51,6 @@ from ..telemetry.fleet import (
     DEFAULT_ALERT_RULES,
     Alert,
     FleetStats,
-    JsonlTail,
     evaluate_alerts,
     fleet_prometheus,
 )
@@ -59,7 +59,6 @@ __all__ = [
     "ACTIVE_WINDOW",
     "CampaignWatch",
     "FleetWatch",
-    "JsonlTail",  # canonical home is repro.telemetry.fleet; re-exported
     "WatchSnapshot",
     "add_fleet_arguments",
     "add_watch_arguments",

@@ -19,7 +19,6 @@ bit-identical for any seed.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,18 +207,15 @@ def corrupt_checkpoint(
     """One-call convenience wrapper around :class:`CheckpointCorrupter`.
 
     Either build the configuration from ``**overrides`` (``config=None``),
-    or pass a ready :class:`InjectorConfig`.  Mixing both — a config *plus*
-    keyword overrides — is deprecated; call
-    ``config.replace(**overrides)`` yourself instead.
+    or pass a ready :class:`InjectorConfig`.  A config *plus* keyword
+    overrides raises ``TypeError``: call ``config.replace(**overrides)``
+    yourself.
     """
     if config is None:
         config = InjectorConfig(hdf5_file=path, **overrides)
     elif overrides:
-        warnings.warn(
-            "passing both config= and keyword overrides to "
-            "corrupt_checkpoint() is deprecated; use "
-            "config.replace(**overrides) instead",
-            DeprecationWarning, stacklevel=2,
-        )
-        config = config.replace(hdf5_file=path, **overrides)
+        raise TypeError(
+            "corrupt_checkpoint() takes config= or keyword overrides, not "
+            f"both (got {', '.join(sorted(overrides))}); use "
+            "config.replace(...) instead")
     return CheckpointCorrupter(config, engine=engine).corrupt(path)

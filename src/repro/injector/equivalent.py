@@ -12,7 +12,6 @@ layouts do match, e.g. replaying onto a copy of the same checkpoint).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,9 +147,9 @@ def replay_log(
     """Replay *log* onto the checkpoint at *target_path*.
 
     Settings live in a :class:`ReplayConfig` (pass ``config=``); the
-    individual ``location_map``/``reuse_indices``/``seed`` keywords remain
-    for backward compatibility.  Mixing both — a config *plus* non-default
-    legacy keywords — is deprecated; use ``config.replace(...)`` instead.
+    individual ``location_map``/``reuse_indices``/``seed`` keywords build
+    one when ``config`` is omitted.  A config *plus* non-default keywords
+    raises ``TypeError``: use ``config.replace(...)`` instead.
     ``engine`` selects the apply path exactly as in
     :class:`~repro.injector.corrupter.CheckpointCorrupter`.
     """
@@ -169,12 +168,10 @@ def replay_log(
     if config is None:
         config = ReplayConfig(**legacy)
     elif legacy:
-        warnings.warn(
-            "passing both config= and legacy keywords to replay_log() is "
-            "deprecated; use config.replace(**overrides) instead",
-            DeprecationWarning, stacklevel=2,
-        )
-        config = config.replace(**legacy)
+        raise TypeError(
+            "replay_log() takes config= or the location_map/reuse_indices/"
+            f"seed keywords, not both (got {', '.join(sorted(legacy))}); "
+            "use config.replace(...) instead")
     validate_engine(engine)
 
     if config.location_map:

@@ -2,10 +2,10 @@
 
 An AST-based invariant checker over the repo's own invariants: injections
 bit-identical across engines, probes/telemetry RNG-free, workers
-fork-safe, commits crash-safe, HDF5 callers on the zero-copy view
-discipline.  Per-file rules run one module at a time; whole-program
-rules (atomic-commit, fork-reach, rng-purity-flow, lease-protocol) run
-over a project call graph built from cached per-file facts.  Run it as
+fork-safe, commits and leases only through :mod:`repro.durable`, HDF5
+callers on the zero-copy view discipline.  Per-file rules run one module
+at a time; whole-program rules (fork-reach, rng-purity-flow) run over a
+project call graph built from cached per-file facts.  Run it as
 ``repro-lint src tests`` or ``python -m repro.lint src tests``; the rule
 catalogue lives in ``docs/static-analysis.md`` and ``--list-rules``.
 """

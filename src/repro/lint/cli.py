@@ -10,7 +10,7 @@ Whole-program switches::
 
     repro-lint src --jobs 8                 # parallel file parsing
     repro-lint src --graph-cache            # warm runs skip parsing
-    repro-lint src --explain atomic-commit  # print inferred traces
+    repro-lint src --explain fork-reach     # print inferred traces
     repro-lint src --dump-graph graph.json  # call-graph CI artifact
 """
 

@@ -322,9 +322,7 @@ def _ensure_rules_loaded() -> None:
     # rules live in sibling modules registered on import; imported lazily
     # so `core` stays importable from them without a cycle
     from . import rules  # noqa: F401
-    from . import rules_atomic  # noqa: F401
     from . import rules_fork  # noqa: F401
-    from . import rules_lease  # noqa: F401
     from . import rules_rng  # noqa: F401
 
 

@@ -12,15 +12,15 @@ Call resolution is best-effort static, in order of confidence:
 
 1. ``self.method`` / ``cls.method`` through the enclosing class and its
    same-project base classes;
-2. imported names (``from ..experiments.locking import _pid_alive``,
-   ``import os`` — external targets resolve to nothing);
+2. imported names (``from ..durable import Lease``, ``import os`` —
+   external targets resolve to nothing);
 3. bare names defined in the same module;
 4. a *by-name* fallback: a sufficiently distinctive terminal name defined
    by at most :data:`BY_NAME_LIMIT` project functions resolves to all of
-   them as may-call edges.  Rules opt into these edges — the atomic-commit
-   rule uses them to credit duck-typed writers (``facade.save_checkpoint``),
-   while reachability rules stick to resolved edges so one generic method
-   name cannot taint half the project.
+   them as may-call edges.  Only the call-graph dump (``--dump-graph``)
+   shows these edges, labelled ``by-name``; the reachability rules stick
+   to resolved edges so one generic method name cannot taint half the
+   project.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .core import (SourceModule, dotted_name, hash_line, node_span,
 
 #: Facts format version; bump on any change to the extraction schema so
 #: stale graph caches self-invalidate.
-FACTS_VERSION = 1
+FACTS_VERSION = 2
 
 #: Maximum project definitions a terminal name may have and still resolve
 #: by name; more means the name is too generic to be evidence.
@@ -263,7 +263,6 @@ class ProjectGraph:
                     .append(qualname)
         for names in self._by_terminal.values():
             names.sort()
-        self._fsync_summary: dict[str, set[int]] | None = None
         self._rng_taint: dict[str, tuple[str, int] | None] | None = None
 
     # -- symbol resolution -------------------------------------------------
@@ -470,16 +469,6 @@ class ProjectGraph:
         return hops
 
     # -- summaries ---------------------------------------------------------
-
-    def fsync_summary(self) -> dict[str, set[int]]:
-        """Which params each function fsyncs (fixpoint over the graph)."""
-        if self._fsync_summary is None:
-            self._fsync_summary = dataflow.fsync_param_fixpoint(
-                self.functions,
-                lambda caller, name: self.resolve(caller, name,
-                                                  by_name=True),
-            )
-        return self._fsync_summary
 
     def rng_taint(self) -> dict[str, tuple[str, int] | None]:
         """Functions that (transitively) draw RNG.

@@ -26,6 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from ..durable import write_json
 from . import graph as graph_mod
 from .core import (
     PARSE_ERROR,
@@ -144,10 +145,7 @@ def _save_cache(cache_path: str, lint_hash: str,
         "select": select_key,
         "files": entries,
     }
-    tmp = cache_path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True)
-    os.replace(tmp, cache_path)  # a cache, not a durability commit
+    write_json(cache_path, payload)
 
 
 def _cross_suppressed(facts: dict, finding: CrossFinding,

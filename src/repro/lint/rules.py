@@ -298,53 +298,7 @@ def check_view_discipline(module: SourceModule):
 
 
 # ---------------------------------------------------------------------------
-# 4. deprecated-injector-kwargs
-# ---------------------------------------------------------------------------
-
-_REPLAY_LEGACY = ("location_map", "reuse_indices", "seed")
-
-
-@rule(
-    "deprecated-injector-kwargs",
-    description="no config= mixed with legacy override kwargs at "
-                "injector call sites",
-    rationale=(
-        "PR 2 unified injector configuration on InjectorConfig/"
-        "ReplayConfig; mixing config= with loose overrides only warns at "
-        "runtime (DeprecationWarning) and a typo'd override silently "
-        "corrupts nothing — the worst failure mode for an injection "
-        "campaign.  Use config.replace(**overrides)."
-    ),
-)
-def check_deprecated_injector_kwargs(module: SourceModule):
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = terminal_name(node)
-        keywords = {kw.arg for kw in node.keywords if kw.arg is not None}
-        if "config" not in keywords:
-            continue
-        if name == "corrupt_checkpoint":
-            overrides = keywords - {"config", "engine"}
-            if overrides:
-                yield node, (
-                    "corrupt_checkpoint(config=..., "
-                    f"{', '.join(sorted(overrides))}=...) mixes a config "
-                    "with deprecated keyword overrides; use "
-                    "config.replace(...) and pass only config="
-                )
-        elif name == "replay_log":
-            legacy = keywords & set(_REPLAY_LEGACY)
-            if legacy or len(node.args) > 2:
-                what = ", ".join(sorted(legacy)) or "positional arguments"
-                yield node, (
-                    "replay_log(config=...) combined with legacy "
-                    f"keyword(s) {what}; fold them into the ReplayConfig"
-                )
-
-
-# ---------------------------------------------------------------------------
-# 5. float-eq
+# 4. float-eq
 # ---------------------------------------------------------------------------
 
 @rule(
@@ -397,7 +351,7 @@ def _judge_float_compare(left: ast.expr, right: ast.expr):
 
 
 # ---------------------------------------------------------------------------
-# 6. journal-schema
+# 5. journal-schema
 # ---------------------------------------------------------------------------
 
 #: The journal contract (PR 1): every record names its trial, its kind, and
@@ -457,7 +411,7 @@ def check_journal_schema(module: SourceModule):
 
 
 # ---------------------------------------------------------------------------
-# 7. span-discipline
+# 6. span-discipline
 # ---------------------------------------------------------------------------
 
 _IMPORT_TIME_METRIC_CALLS = frozenset({"count", "gauge", "observe",
@@ -522,7 +476,7 @@ def check_span_discipline(module: SourceModule):
 
 
 # ---------------------------------------------------------------------------
-# 8. trace-propagation
+# 7. trace-propagation
 # ---------------------------------------------------------------------------
 
 def _telemetry_aliases(tree: ast.Module, name: str) -> frozenset[str]:
@@ -587,33 +541,73 @@ def check_trace_propagation(module: SourceModule):
             )
 
 
+# ---------------------------------------------------------------------------
+# 8. durable-io
+# ---------------------------------------------------------------------------
+
+#: ``os`` calls that commit or lock by name; only repro.durable makes them.
+_DURABLE_OS_CALLS = frozenset({"replace", "rename", "link"})
+
+
+def _os_aliases(tree: ast.Module) -> dict[str, str]:
+    """Local names bound by ``from os import replace as ...``."""
+    return {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "os"
+        for alias in node.names
+    }
+
+
 @rule(
-    "atlas-ingest-offsets",
-    description="atlas journal readers go through the offset-resumable "
-                "JsonlTail API, never ad-hoc file reads",
+    "durable-io",
+    description="commits, locks and atlas journal reads go through "
+                "repro.durable",
     rationale=(
-        "the atlas's byte-determinism and kill-9 resumability (this PR) "
-        "hang on every journal byte being consumed through "
-        "telemetry.fleet.JsonlTail, whose `consumed` offset is the "
-        "catalog's durable high-water mark and whose partial-line "
-        "buffering tolerates torn writes; a raw open()/.readlines() of a "
-        "journal reads torn lines as records and cannot resume, silently "
-        "corrupting or duplicating atlas rows"
+        "campaigns survive kill -9 and resume exactly only if every "
+        "commit fsyncs its bytes before the rename and its directory "
+        "after it, every lock file is written in full before it appears "
+        "and expires when its holder dies, and the atlas reads journals "
+        "from a torn-line-tolerant durable offset.  repro.durable owns "
+        "those protocols and its crash-point harness proves them; a "
+        "hand-rolled os.replace/os.rename/os.link or O_EXCL open "
+        "elsewhere is unproven, and a raw journal read in repro.atlas "
+        "takes a torn line as a record and cannot resume"
     ),
-    domains=("repro.atlas",),
+    domains=("repro",),
 )
-def check_atlas_ingest_offsets(module: SourceModule):
+def check_durable_io(module: SourceModule):
+    if module.module == "repro.durable":
+        return
+    aliases = _os_aliases(module.tree)
+    in_atlas = module.module == "repro.atlas" or \
+        module.module.startswith("repro.atlas.")
     for node in ast.walk(module.tree):
+        if isinstance(node, (ast.Attribute, ast.Name)) and (
+                dotted_name(node) == "os.O_EXCL" or
+                aliases.get(getattr(node, "id", None)) == "O_EXCL"):
+            yield node, (
+                "O_EXCL open outside repro.durable; take a "
+                "repro.durable.Lease instead of hand-rolling a lock file"
+            )
         if not isinstance(node, ast.Call):
             continue
-        if terminal_name(node) == "readlines":
+        name = call_name(node) or ""
+        target = aliases.get(name) or (name[3:] if name.startswith("os.")
+                                       else None)
+        if target in _DURABLE_OS_CALLS:
+            yield node, (
+                f"os.{target} outside repro.durable; commit through "
+                "repro.durable.atomic_write/publish (fsynced bytes, "
+                "then the rename, then the directory)"
+            )
+        elif in_atlas and terminal_name(node) == "readlines":
             yield node, (
                 ".readlines() in the atlas layer bypasses the "
                 "offset-resumable tail; read journals through "
-                "telemetry.fleet.JsonlTail(path, offset=...).poll()"
+                "repro.durable.JsonlTail(path, offset=...).poll()"
             )
-            continue
-        if call_name(node) == "open" and node.args:
+        elif in_atlas and name == "open" and node.args:
             first = node.args[0]
             literal = first.value if (
                 isinstance(first, ast.Constant) and
@@ -624,6 +618,6 @@ def check_atlas_ingest_offsets(module: SourceModule):
                     "journal" in mentioned.lower():
                 yield node, (
                     "journal file opened directly; the atlas must tail "
-                    "journals with telemetry.fleet.JsonlTail so ingest "
+                    "journals with repro.durable.JsonlTail so ingest "
                     "stays offset-resumable and torn-line tolerant"
                 )

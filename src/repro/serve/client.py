@@ -64,8 +64,8 @@ class ServeClient:
     def submit(self, spec, trace: TraceContext | None = None) -> dict:
         """POST the spec; returns ``{"campaign_id", "trace_id", ...}``.
 
-        Accepts a :class:`~repro.serve.spec.CampaignSpec` (canonical) or a
-        raw dict (deprecated, warns via :func:`coerce_spec`).
+        *spec* must be a :class:`~repro.serve.spec.CampaignSpec`; a raw
+        dict raises ``TypeError`` (build it with ``CampaignSpec.from_dict``).
 
         The submit carries a ``traceparent`` header — *trace* if given,
         else the calling process's ambient trace context, else a freshly

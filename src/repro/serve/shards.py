@@ -1,36 +1,32 @@
-"""Shard manifests and lock-file leases: the on-disk work queue substrate.
+"""Shard manifests and worker heartbeats: the on-disk work queue substrate.
 
 A submitted campaign's trial plan is cut into *shards* — consecutive runs
 of the task list — each persisted as a JSON manifest.  Workers claim a
-shard by creating its *lease* (the ``O_CREAT | O_EXCL`` lock-file protocol
-from :mod:`repro.experiments.locking`, extended with heartbeat renewal and
-single-winner reclaim), execute it through the ordinary campaign runner
-against the shard's own journal, and mark it done.  ``kill -9`` anywhere
-in that sequence loses nothing:
+shard by taking its :class:`~repro.durable.Lease` (a lock file with
+heartbeat renewal and single-winner reclaim), execute it through the
+ordinary campaign runner against the shard's own journal, and mark it
+done.  ``kill -9`` anywhere in that sequence loses nothing:
 
 * a dead claimant's lease stops being renewed; once expired it is
-  reclaimed by exactly one other worker (reclaim is an atomic ``rename``,
-  so two reclaimers cannot both win);
+  reclaimed by exactly one other worker;
 * the shard journal already holds every trial the dead worker completed,
   and the reclaiming worker resumes via ``completed_ids`` — no trial is
   lost or duplicated.
 
-Everything here is plain POSIX filesystem atomicity — ``mkdir -p`` with
-``exist_ok`` for racy directory creation, temp-file + ``os.replace`` for
-manifests and state files — so shards can be claimed by worker processes
-on any host sharing the campaign directory.
+Every write goes through :mod:`repro.durable` (manifests and state files
+are atomic commits), and racy directory creation is ``mkdir -p`` with
+``exist_ok``, so shards can be claimed by worker processes on any host
+sharing the campaign directory.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import resource
 import threading
 import time
-import uuid
 
-from ..experiments.locking import _pid_alive
+from ..durable import Lease, write_json
 from ..experiments.runner import TrialTask
 from ..telemetry import hostname
 
@@ -41,59 +37,8 @@ def ensure_dir(path: str) -> str:
     return path
 
 
-def write_json_atomic(path: str, payload: dict) -> None:
-    """Write *payload* as JSON such that readers never observe a torn file.
-
-    The temp name carries pid + a random suffix so concurrent writers to
-    the same target cannot collide on the temp file either; ``os.replace``
-    then publishes the complete document atomically (last writer wins).
-    """
-    ensure_dir(os.path.dirname(os.path.abspath(path)))
-    tmp = f"{path}.tmp.{os.getpid()}.{uuid.uuid4().hex[:8]}"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-
-
-def read_json(path: str) -> dict | None:
-    """The parsed document, or ``None`` while it does not exist yet.
-
-    Thanks to :func:`write_json_atomic` a present file is always complete,
-    so a parse error here is real corruption and propagates.
-    """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
-    except FileNotFoundError:
-        return None
-
-
 def shard_name(index: int) -> str:
     return f"shard-{index:04d}"
-
-
-def lease_info(path: str, ttl: float | None = None) -> dict | None:
-    """Read-only snapshot of a lease file for observability.
-
-    Returns ``{"owner", "pid", "claimed_at", "age", "expired"?}`` or
-    ``None`` while the lease does not exist (or is torn mid-create —
-    not ours to judge).  ``age`` is seconds since the last heartbeat
-    renewal; ``expired`` is included when *ttl* is given and uses the
-    mtime criterion only (the pid criterion needs same-host context).
-    """
-    try:
-        stat = os.stat(path)
-        with open(path, encoding="utf-8") as handle:
-            holder = json.loads(handle.read())
-    except (OSError, json.JSONDecodeError, ValueError):
-        return None
-    info = dict(holder)
-    info["age"] = max(0.0, time.time() - stat.st_mtime)
-    if ttl is not None:
-        info["expired"] = info["age"] > ttl
-    return info
 
 
 def cut_shards(tasks: list[TrialTask], shard_size: int) -> \
@@ -127,182 +72,6 @@ def manifest_tasks(manifest: dict) -> list[TrialTask]:
             for entry in manifest["tasks"]]
 
 
-class ShardLease:
-    """An expiring, renewable claim on one unit of work.
-
-    The lease file (created ``O_CREAT | O_EXCL`` — atomic, one winner)
-    records the owner's pid and name.  While the owner works, a heartbeat
-    refreshes the file's mtime; a lease whose mtime is older than ``ttl``
-    *or* whose pid is dead (after a short grace period, and only when the
-    pid is checkable on this host) is *expired*.
-
-    Reclaiming an expired lease must elect exactly one winner even when
-    several workers notice the expiry simultaneously — plain
-    ``unlink``-then-create would let a slow reclaimer unlink the *fresh*
-    lease a fast reclaimer just created, and any scheme that removes the
-    file before re-creating it opens an absence window in which a
-    bystander's plain ``O_EXCL`` create steals the unit.  So reclaim (a)
-    serializes through a sidecar ``.reclaim`` guard file (``O_EXCL``, one
-    winner; stale guards from a crash mid-reclaim are broken by the
-    rename-to-trash trick), (b) re-judges expiry under the guard against
-    the lease's inode, and (c) takes over by ``os.rename``-ing its own
-    payload *over* the expired lease — an atomic replace, so the lease
-    path never stops existing and no create can slip in.
-    """
-
-    #: a reclaim critical section lasts milliseconds; a guard older than
-    #: this was leaked by a crash and may be broken
-    GUARD_TTL = 5.0
-
-    def __init__(self, path: str, owner: str = "", ttl: float = 30.0,
-                 dead_pid_grace: float = 0.5):
-        self.path = path
-        self.owner = owner or f"pid-{os.getpid()}"
-        self.ttl = ttl
-        self.dead_pid_grace = dead_pid_grace
-        self._held = False
-        #: how the current hold was won: "create" (fresh lease) or
-        #: "reclaim" (expired takeover); ``None`` while not held —
-        #: observability provenance for the fleet's reclaim counters
-        self.acquired_via: str | None = None
-
-    # -- claiming ----------------------------------------------------------
-
-    def try_claim(self) -> bool:
-        """Attempt to take the lease; reclaim it instead if expired."""
-        if self._create():
-            self.acquired_via = "create"
-            return True
-        if self._reclaim_if_expired():
-            self.acquired_via = "reclaim"
-            return True
-        return False
-
-    def _payload(self) -> bytes:
-        return json.dumps({"pid": os.getpid(), "owner": self.owner,
-                           "claimed_at": time.time()}).encode("ascii")
-
-    def _create(self) -> bool:
-        ensure_dir(os.path.dirname(os.path.abspath(self.path)))
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY,
-                         0o644)
-        except FileExistsError:
-            return False
-        os.write(fd, self._payload())
-        os.close(fd)
-        self._held = True
-        return True
-
-    # -- expiry / reclaim --------------------------------------------------
-
-    def _read_holder(self) -> tuple[dict | None, os.stat_result | None]:
-        try:
-            stat = os.stat(self.path)
-            with open(self.path, encoding="utf-8") as handle:
-                return json.loads(handle.read()), stat
-        except (OSError, json.JSONDecodeError, ValueError):
-            return None, None  # vanished or mid-create; not ours to judge
-
-    def _expired(self, holder: dict, mtime: float) -> bool:
-        age = time.time() - mtime
-        if age > self.ttl:
-            return True
-        pid = holder.get("pid")
-        # Only meaningful for same-host workers; a cross-host claimant's
-        # pid may coincide with a live local process, in which case the
-        # ttl above is the (slower but correct) expiry path.
-        return (isinstance(pid, int) and age > self.dead_pid_grace
-                and not _pid_alive(pid))
-
-    def is_expired(self) -> bool:
-        holder, stat = self._read_holder()
-        if holder is None or stat is None:
-            return False
-        return self._expired(holder, stat.st_mtime)
-
-    def _reclaim_if_expired(self) -> bool:
-        """Single-winner takeover of an expired lease; True if *we* won."""
-        holder, judged = self._read_holder()
-        if holder is None or judged is None or \
-                not self._expired(holder, judged.st_mtime):
-            return False
-        guard = f"{self.path}.reclaim"
-        try:
-            fd = os.open(guard, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-        except FileExistsError:
-            # another reclaimer is mid-takeover; break the guard only if
-            # its owner crashed inside the critical section
-            self._break_stale_guard(guard)
-            return False
-        try:
-            os.write(fd, self._payload())
-            os.close(fd)
-            # re-judge under the guard: the previous guard holder may
-            # already have replaced the lease we judged expired
-            holder, current = self._read_holder()
-            if holder is None or current is None or \
-                    current.st_ino != judged.st_ino or \
-                    not self._expired(holder, current.st_mtime):
-                return False
-            # atomic replace: the lease path never stops existing, so no
-            # concurrent O_EXCL create can slip in mid-reclaim
-            temp = f"{self.path}.claim.{os.getpid()}.{uuid.uuid4().hex[:8]}"
-            with open(temp, "wb") as handle:
-                handle.write(self._payload())
-            os.rename(temp, self.path)
-            self._held = True
-            return True
-        finally:
-            os.unlink(guard)
-
-    def _break_stale_guard(self, guard: str) -> None:
-        try:
-            age = time.time() - os.stat(guard).st_mtime
-        except OSError:
-            return  # released while we looked
-        if age <= self.GUARD_TTL:
-            return
-        trash = f"{guard}.trash.{os.getpid()}.{uuid.uuid4().hex[:8]}"
-        try:
-            os.rename(guard, trash)  # single winner breaks it
-        except FileNotFoundError:
-            return
-        os.unlink(trash)
-
-    # -- lifetime ----------------------------------------------------------
-
-    def renew(self) -> None:
-        """Heartbeat: refresh the lease's mtime so it cannot expire while
-        its owner is alive and working."""
-        if self._held:
-            try:
-                os.utime(self.path)
-            except FileNotFoundError:
-                pass  # force-released under us; owner will notice at done
-
-    def release(self) -> None:
-        if self._held:
-            self._held = False
-            self.acquired_via = None
-            try:
-                os.unlink(self.path)
-            except FileNotFoundError:
-                pass
-
-    @property
-    def held(self) -> bool:
-        return self._held
-
-    def __enter__(self) -> "ShardLease":
-        if not self.try_claim():
-            raise RuntimeError(f"lease {self.path} is held")
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.release()
-
-
 def resource_sample() -> dict:
     """This process's resident-set and CPU usage, for heartbeat samples.
 
@@ -333,7 +102,7 @@ class Heartbeat:
     is exactly the signal the ``worker-silent`` alert rule keys on.
     """
 
-    def __init__(self, lease: ShardLease, interval: float | None = None,
+    def __init__(self, lease: Lease, interval: float | None = None,
                  sample_path: str | None = None, info=None):
         self.lease = lease
         self.interval = interval if interval is not None else \
@@ -366,7 +135,7 @@ class Heartbeat:
             except Exception:
                 pass
         try:
-            write_json_atomic(self.sample_path, payload)
+            write_json(self.sample_path, payload)
         except OSError:
             pass
 

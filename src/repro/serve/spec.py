@@ -27,7 +27,6 @@ journals and queued submissions stay loadable as the schema grows.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -286,23 +285,17 @@ class CampaignSpec:
 
 
 def coerce_spec(spec) -> CampaignSpec:
-    """Normalize *spec* to a :class:`CampaignSpec`.
+    """*spec* itself, checked to be a :class:`CampaignSpec`.
 
-    Passing an ad-hoc payload ``dict`` still works but is deprecated —
-    the spec object is the one canonical campaign description; dicts lose
-    its validation and versioning.
+    The spec object is the one canonical campaign description; a payload
+    ``dict`` would skip its validation and versioning, so it is refused
+    with a pointer to :meth:`CampaignSpec.from_dict`.
     """
     if isinstance(spec, CampaignSpec):
         return spec
-    if isinstance(spec, dict):
-        warnings.warn(
-            "passing a campaign as an ad-hoc payload dict is deprecated; "
-            "build a repro.serve.CampaignSpec (or use "
-            "CampaignSpec.from_dict) instead",
-            DeprecationWarning, stacklevel=3)
-        return CampaignSpec.from_dict(spec)
-    raise TypeError(
-        f"expected CampaignSpec or dict, got {type(spec).__name__}")
+    hint = ("; build one with CampaignSpec.from_dict(payload)"
+            if isinstance(spec, dict) else "")
+    raise TypeError(f"expected CampaignSpec, got {type(spec).__name__}{hint}")
 
 
 def run_spec(spec, *, cache=None, workers: int = 1, journal=None,

@@ -9,7 +9,7 @@ host sharing the directory) needs::
                                 # == one distributed trace)
         state.json              # {"state", "error"?} — atomic replace
         plan.json               # shard index; presence == planning done
-        shards/shard-0000.json  # manifests (atomic temp+rename)
+        shards/shard-0000.json  # manifests (atomic commits)
         journals/shard-0000.jsonl   # per-shard trial journals
         journals/shard-0000.done    # completion marker (cache; journals
                                     # are the ground truth)
@@ -21,9 +21,9 @@ host sharing the directory) needs::
 
 The store is deliberately dumb about scheduling — it answers "what exists,
 what's claimable, what's done" and leaves fairness to
-:mod:`repro.serve.scheduler`.  All mutation uses the atomic patterns from
-:mod:`repro.serve.shards`, so any number of workers and front doors can
-share a root without coordination beyond the leases.
+:mod:`repro.serve.scheduler`.  Every write is a :mod:`repro.durable`
+commit or lease, so any number of workers and front doors can share a
+root without coordination beyond the leases.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import time
 from typing import Iterator
 
 from .. import telemetry
+from ..durable import Lease, lease_info, read_json, write_json
 from ..experiments.runner import Journal
 from ..telemetry import TraceContext
 from ..telemetry.export import prom_sample
@@ -46,15 +47,10 @@ from ..telemetry.fleet import (
     fleet_prometheus,
 )
 from .shards import (
-    ShardLease,
     cut_shards,
     ensure_dir,
-    lease_info,
     manifest_payload,
-    manifest_tasks,
-    read_json,
     shard_name,
-    write_json_atomic,
 )
 from .spec import CampaignSpec, PLAN_BUILDERS, coerce_spec, ensure_builders
 
@@ -172,8 +168,8 @@ class CampaignStore:
         return os.path.join(self.campaign_dir(cid), "journals",
                             f"{shard_id}.done")
 
-    def _lease(self, cid: str, name: str, owner: str) -> ShardLease:
-        return ShardLease(
+    def _lease(self, cid: str, name: str, owner: str) -> Lease:
+        return Lease(
             os.path.join(self.campaign_dir(cid), "leases", f"{name}.lease"),
             owner=owner, ttl=self.lease_ttl)
 
@@ -210,9 +206,9 @@ class CampaignStore:
                 f"{active} campaigns already active (max_active="
                 f"{self.max_active}); retry after some complete")
         cid = self._allocate_id(spec.kind)
-        write_json_atomic(self._spec_path(cid), spec.to_dict())
-        write_json_atomic(self._trace_path(cid), trace.to_dict())
-        write_json_atomic(self._state_path(cid), {"state": "queued"})
+        write_json(self._spec_path(cid), spec.to_dict())
+        write_json(self._trace_path(cid), trace.to_dict())
+        write_json(self._state_path(cid), {"state": "queued"})
         telemetry.count("serve.campaigns_submitted")
         log.info("campaign %s submitted (kind=%s scale=%s trace=%s)", cid,
                  spec.kind, spec.scale, trace.trace_id)
@@ -282,7 +278,7 @@ class CampaignStore:
 
     # -- planning ----------------------------------------------------------
 
-    def claim_planning(self, cid: str, owner: str) -> ShardLease | None:
+    def claim_planning(self, cid: str, owner: str) -> Lease | None:
         """The planning lease, or ``None`` if planned/claimed/cancelled."""
         if self.plan(cid) is not None or self.coarse_state(cid) in (
                 "cancelled", "failed"):
@@ -304,22 +300,22 @@ class CampaignStore:
             shards = cut_shards(tasks, self.shard_size)
             for index, shard_tasks in enumerate(shards):
                 sid = shard_name(index)
-                write_json_atomic(self._manifest_path(cid, sid),
-                                  manifest_payload(cid, sid, shard_tasks))
+                write_json(self._manifest_path(cid, sid),
+                           manifest_payload(cid, sid, shard_tasks))
             plan = {
                 "total": len(tasks),
                 "shard_size": self.shard_size,
                 "shards": [{"shard_id": shard_name(i), "count": len(s)}
                            for i, s in enumerate(shards)],
             }
-            write_json_atomic(self._plan_path(cid), plan)
+            write_json(self._plan_path(cid), plan)
         except Exception as exc:
-            write_json_atomic(self._state_path(cid),
-                              {"state": "failed", "error": repr(exc)})
+            write_json(self._state_path(cid),
+                       {"state": "failed", "error": repr(exc)})
             telemetry.count("serve.plan_failures")
             log.warning("campaign %s planning failed: %r", cid, exc)
             raise
-        write_json_atomic(self._state_path(cid), {"state": "running"})
+        write_json(self._state_path(cid), {"state": "running"})
         telemetry.count("serve.campaigns_planned")
         telemetry.count("serve.shards_planned", len(plan["shards"]))
         log.info("campaign %s planned: %d trials in %d shards", cid,
@@ -354,10 +350,10 @@ class CampaignStore:
         return False
 
     def mark_shard_done(self, cid: str, shard_id: str) -> None:
-        write_json_atomic(self._done_marker(cid, shard_id), {"done": True})
+        write_json(self._done_marker(cid, shard_id), {"done": True})
 
     def claim_shard(self, cid: str, shard_id: str, owner: str,
-                    counters: dict | None = None) -> ShardLease | None:
+                    counters: dict | None = None) -> Lease | None:
         if self.shard_done(cid, shard_id):
             return None
         lease = self._lease(cid, shard_id, owner)
@@ -411,7 +407,7 @@ class CampaignStore:
         self.spec(cid)  # raises UnknownCampaign
         state = self.coarse_state(cid)
         if state not in ("done", "failed"):
-            write_json_atomic(self._state_path(cid), {"state": "cancelled"})
+            write_json(self._state_path(cid), {"state": "cancelled"})
             telemetry.count("serve.campaigns_cancelled")
             log.info("campaign %s cancelled", cid)
         return self.status(cid)
@@ -423,7 +419,7 @@ class CampaignStore:
             return False
         if all(self.shard_done(cid, sid) for sid in shard_ids):
             if self.coarse_state(cid) not in ("cancelled", "failed"):
-                write_json_atomic(self._state_path(cid), {"state": "done"})
+                write_json(self._state_path(cid), {"state": "done"})
             return True
         return False
 

@@ -80,7 +80,6 @@ from .fleet import (
     DEFAULT_ALERT_RULES,
     FleetStats,
     FleetTelemetry,
-    JsonlTail,
     ShardStatus,
     WorkerStatus,
     evaluate_alerts,
@@ -103,7 +102,6 @@ __all__ = [
     "Histogram",
     "InMemorySink",
     "JsonlSink",
-    "JsonlTail",
     "LOG_FORMAT",
     "NOOP_SPAN",
     "NullSink",

@@ -5,14 +5,12 @@ each journalling and (since this PR) emitting telemetry into its own
 per-shard JSONL file under the campaign directory.  This module is the
 read side that makes the fleet legible again:
 
-* :class:`JsonlTail` — the incremental, torn-line-tolerant JSONL reader
-  (moved here from ``experiments/watch``; re-exported there), the
-  primitive everything else tails files with.
 * :class:`FleetTelemetry` — an offset-resumable merge over any number of
   per-shard telemetry files.  Events are already host- and pid-stamped at
   emit time, so the merged stream feeds the ordinary exporters
   (``chrome_trace`` gets one track per ``(host, pid)``; ``merge_metrics``
-  keys on ``(host, pid, name)``) without further disambiguation.
+  keys on ``(host, pid, name)``) without further disambiguation.  Each
+  file is tailed by :class:`repro.durable.JsonlTail`.
 * :class:`FleetStats` and friends — the plain-data aggregate the store
   builds from filesystem state (campaign rollups, worker heartbeat
   resource samples, shard lease ages) and the fleet console renders.
@@ -30,79 +28,12 @@ dependency arrow pointing at telemetry as everywhere else in the repo.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
+from ..durable import JsonlTail
 from .export import prom_sample
-
-
-class JsonlTail:
-    """Incremental, torn-line-tolerant JSONL reader.
-
-    Each :meth:`poll` reads from the remembered byte offset to EOF and
-    returns the newly completed records.  A trailing partial line (a write
-    caught mid-append) is buffered until its newline arrives; a file that
-    shrinks (rotation/truncation) restarts the tail from byte 0; a file
-    that does not exist yet simply yields nothing.
-
-    ``offset`` seeds the tail mid-file — the resume hook for readers (the
-    sensitivity atlas ingester) that persist how far they got.
-    :attr:`consumed` is the byte offset of the last *complete* line
-    returned so far (the buffered partial tail excluded): the durable
-    high-water mark such readers record, so a torn final line is re-read
-    on the next resume instead of being silently lost.
-    """
-
-    def __init__(self, path: str, offset: int = 0):
-        self.path = path
-        self.offset = int(offset)
-        self._partial = b""
-
-    @property
-    def consumed(self) -> int:
-        """Byte offset just past the last complete line seen by poll()."""
-        return self.offset - len(self._partial)
-
-    def poll(self) -> list[dict]:
-        return [record for record, _ in self.poll_with_offsets()]
-
-    def poll_with_offsets(self) -> list[tuple[dict, int]]:
-        """Like :meth:`poll`, but pairs each record with the byte offset
-        just past its line — the line-boundary bookkeeping readers with
-        deterministic segmentation (the atlas ingester) resume from."""
-        try:
-            size = os.path.getsize(self.path)
-        except OSError:
-            return []
-        if size < self.offset:
-            self.offset = 0
-            self._partial = b""
-        if size <= self.offset:
-            return []
-        with open(self.path, "rb") as handle:
-            handle.seek(self.offset)
-            chunk = handle.read()
-        base = self.offset - len(self._partial)
-        self.offset += len(chunk)
-        data = self._partial + chunk
-        lines = data.split(b"\n")
-        self._partial = lines.pop()  # b"" when data ended on a newline
-        records: list[tuple[dict, int]] = []
-        position = base
-        for line in lines:
-            position += len(line) + 1  # +1: the newline split() consumed
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                parsed = json.loads(stripped)
-            except json.JSONDecodeError:
-                continue  # torn line that happened to end in \n garbage
-            if isinstance(parsed, dict):
-                records.append((parsed, position))
-        return records
 
 
 class FleetTelemetry:
@@ -555,7 +486,6 @@ __all__ = [
     "DEFAULT_ALERT_RULES",
     "FleetStats",
     "FleetTelemetry",
-    "JsonlTail",
     "ShardStatus",
     "WorkerStatus",
     "evaluate_alerts",

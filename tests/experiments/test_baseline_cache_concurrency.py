@@ -1,4 +1,4 @@
-"""Crash-consistency and concurrency tests for BaselineCache + FileLock.
+"""Crash-consistency and concurrency tests for BaselineCache and its lock.
 
 The regression this file locks in: before the campaign engine, `meta.json`
 was written non-atomically with an unclosed read handle and no locking, so
@@ -10,10 +10,12 @@ included).
 import json
 import multiprocessing
 import os
+import socket
 import time
 
 import pytest
 
+from repro.durable import Lease
 from repro.experiments.common import (
     SCALES,
     BaselineCache,
@@ -21,7 +23,6 @@ from repro.experiments.common import (
     spec_from_payload,
     spec_to_payload,
 )
-from repro.experiments.locking import FileLock, LockTimeout
 
 
 def smoke_spec(seed=7):
@@ -150,23 +151,31 @@ class TestColdCacheRace:
 
 
 # ---------------------------------------------------------------------------
-# FileLock
+# The cache lock: a Lease without a ttl
 # ---------------------------------------------------------------------------
+
+
+def _holder_file(path, pid):
+    with open(path, "w") as handle:
+        json.dump({"pid": pid, "host": socket.gethostname(),
+                   "owner": "other"}, handle)
+    old = time.time() - 60
+    os.utime(path, (old, old))
 
 
 class TestFileLock:
     def test_mutual_exclusion(self, tmp_path):
         path = str(tmp_path / "x.lock")
-        with FileLock(path) as lock:
+        with Lease(path).acquire(timeout=0.2) as lock:
             assert lock.held
-            with pytest.raises(LockTimeout):
-                FileLock(path, timeout=0.2, stale_after=3600).acquire()
+            with pytest.raises(TimeoutError):
+                Lease(path).acquire(timeout=0.2)
         # released: immediately acquirable again
-        with FileLock(path, timeout=0.2):
+        with Lease(path).acquire(timeout=0.2):
             pass
 
     def test_release_is_idempotent(self, tmp_path):
-        lock = FileLock(str(tmp_path / "x.lock"))
+        lock = Lease(str(tmp_path / "x.lock"))
         lock.acquire()
         lock.release()
         lock.release()
@@ -174,21 +183,15 @@ class TestFileLock:
 
     def test_stale_lock_from_dead_pid_is_broken(self, tmp_path):
         path = str(tmp_path / "x.lock")
-        with open(path, "w") as handle:
-            handle.write("999999999")  # nonexistent pid
-        old = time.time() - 60
-        os.utime(path, (old, old))
-        with FileLock(path, timeout=5.0, stale_after=1.0) as lock:
+        _holder_file(path, 999999999)  # nonexistent pid
+        with Lease(path).acquire(timeout=5.0) as lock:
             assert lock.held
 
     def test_live_lock_is_not_broken(self, tmp_path):
         path = str(tmp_path / "x.lock")
-        with open(path, "w") as handle:
-            handle.write(str(os.getpid()))  # us: definitely alive
-        old = time.time() - 60
-        os.utime(path, (old, old))
-        with pytest.raises(LockTimeout):
-            FileLock(path, timeout=0.3, stale_after=1.0).acquire()
+        _holder_file(path, os.getpid())  # us: definitely alive
+        with pytest.raises(TimeoutError):
+            Lease(path).acquire(timeout=0.3)
 
 
 # ---------------------------------------------------------------------------

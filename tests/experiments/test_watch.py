@@ -6,10 +6,10 @@ import urllib.request
 
 import pytest
 
+from repro.durable import JsonlTail
 from repro.experiments.cli import main
 from repro.experiments.watch import (
     CampaignWatch,
-    JsonlTail,
     build_server,
     render_frame,
 )

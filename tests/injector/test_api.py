@@ -1,6 +1,8 @@
 """Tests of the unified injector API surface: ``replace()`` overrides,
-the deprecated override paths, the result protocol, and the
+the config-plus-override mixes that raise, the result protocol, and the
 ``expand_locations`` dedup fix."""
+
+import pathlib
 
 import numpy as np
 import pytest
@@ -63,20 +65,16 @@ class TestDeprecatedOverridePaths:
 
     def test_corrupt_checkpoint_config_plus_overrides_warns(self, ckpt):
         config = InjectorConfig(injection_attempts=2, seed=1)
-        with pytest.warns(DeprecationWarning):
-            # the deprecated mixing IS the behaviour under test
-            result = corrupt_checkpoint(  # repro-lint: disable=deprecated-injector-kwargs
-                ckpt, config=config, seed=9)
-        assert result.attempts == 2
+        before = pathlib.Path(ckpt).read_bytes()
+        with pytest.raises(TypeError, match=r"config\.replace"):
+            corrupt_checkpoint(ckpt, config=config, seed=9)
+        assert pathlib.Path(ckpt).read_bytes() == before
         assert config.seed == 1
 
     def test_replay_config_plus_legacy_kwargs_warns(self, ckpt):
         log = corrupt_checkpoint(ckpt, injection_attempts=2, seed=1).log
-        with pytest.warns(DeprecationWarning):
-            # the deprecated mixing IS the behaviour under test
-            result = replay_log(  # repro-lint: disable=deprecated-injector-kwargs
-                ckpt, log, seed=3, config=ReplayConfig())
-        assert result.replayed == len(log)
+        with pytest.raises(TypeError, match=r"config\.replace"):
+            replay_log(ckpt, log, seed=3, config=ReplayConfig())
 
     def test_replay_config_positional_rejected(self, ckpt):
         log = corrupt_checkpoint(ckpt, injection_attempts=2, seed=1).log

@@ -1,4 +1,7 @@
-"""Negative fixture: the full temp-write + fsync + replace protocol."""
+"""Positive fixture: a hand-rolled commit outside repro.durable.
+
+The temp file is fsynced, yet the directory never is, and nothing proves
+the sequence under crashes: only repro.durable may rename."""
 
 import json
 import os

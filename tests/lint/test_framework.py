@@ -18,15 +18,15 @@ from repro.lint.cli import main
 
 VIOLATION = textwrap.dedent(
     """
-    def inject(path, cfg):
-        return corrupt_checkpoint(path, config=cfg, seed=3)
+    def record(trial_id):
+        return TrialRecord(trial_id=trial_id, kind="fig3")
     """
 )
 
 CLEAN = textwrap.dedent(
     """
-    def inject(path, cfg):
-        return corrupt_checkpoint(path, config=cfg)
+    def record(trial_id):
+        return TrialRecord(trial_id=trial_id, kind="fig3", status="ok")
     """
 )
 
@@ -34,38 +34,38 @@ CLEAN = textwrap.dedent(
 class TestPragmas:
     def test_line_pragma_suppresses(self):
         source = (
-            "def inject(path, cfg):\n"
-            "    return corrupt_checkpoint(  "
-            "# repro-lint: disable=deprecated-injector-kwargs\n"
-            "        path, config=cfg, seed=3)\n"
+            "def record(trial_id):\n"
+            "    return TrialRecord(  "
+            "# repro-lint: disable=journal-schema\n"
+            "        trial_id=trial_id, kind='fig3')\n"
         )
         assert lint_source(source) == []
 
     def test_line_pragma_is_rule_specific(self):
         source = (
-            "def inject(path, cfg):\n"
-            "    return corrupt_checkpoint(  "
+            "def record(trial_id):\n"
+            "    return TrialRecord(  "
             "# repro-lint: disable=float-eq\n"
-            "        path, config=cfg, seed=3)\n"
+            "        trial_id=trial_id, kind='fig3')\n"
         )
         assert [f.rule for f in lint_source(source)] == \
-            ["deprecated-injector-kwargs"]
+            ["journal-schema"]
 
     def test_line_pragma_all(self):
         source = (
-            "def inject(path, cfg):\n"
-            "    return corrupt_checkpoint(  # repro-lint: disable=all\n"
-            "        path, config=cfg, seed=3)\n"
+            "def record(trial_id):\n"
+            "    return TrialRecord(  # repro-lint: disable=all\n"
+            "        trial_id=trial_id, kind='fig3')\n"
         )
         assert lint_source(source) == []
 
     def test_file_pragma_suppresses_everywhere(self):
-        source = ("# repro-lint: disable-file=deprecated-injector-kwargs\n"
+        source = ("# repro-lint: disable-file=journal-schema\n"
                   + VIOLATION)
         assert lint_source(source) == []
 
     def test_pragma_on_other_line_does_not_suppress(self):
-        source = ("# repro-lint: disable=deprecated-injector-kwargs\n"
+        source = ("# repro-lint: disable=journal-schema\n"
                   + VIOLATION)
         assert len(lint_source(source)) == 1
 
@@ -125,9 +125,8 @@ class TestRegistry:
     def test_all_seven_rules_registered(self):
         names = {rule.name for rule in get_rules()}
         assert names >= {
-            "rng-purity", "fork-safety", "view-discipline",
-            "deprecated-injector-kwargs", "float-eq", "journal-schema",
-            "span-discipline",
+            "rng-purity", "fork-safety", "view-discipline", "durable-io",
+            "float-eq", "journal-schema", "span-discipline",
         }
 
     def test_unknown_rule_rejected(self):
@@ -169,7 +168,7 @@ class TestCli:
         (tmp_path / "mod.py").write_text(VIOLATION)
         monkeypatch.chdir(tmp_path)
         assert main(["mod.py"]) == 1
-        assert "deprecated-injector-kwargs" in capsys.readouterr().out
+        assert "journal-schema" in capsys.readouterr().out
 
     def test_unknown_select_is_usage_error(self, tmp_path, monkeypatch):
         (tmp_path / "mod.py").write_text(CLEAN)
@@ -193,8 +192,7 @@ class TestCli:
         assert main(["mod.py", "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["counts"]["new"] == 1
-        assert payload["findings"][0]["rule"] == \
-            "deprecated-injector-kwargs"
+        assert payload["findings"][0]["rule"] == "journal-schema"
         assert payload["files_checked"] == 1
 
     def test_json_report_to_file(self, tmp_path, monkeypatch):

@@ -187,48 +187,6 @@ class TestViewDiscipline:
         assert found == []
 
 
-class TestDeprecatedInjectorKwargs:
-    def test_corrupt_checkpoint_config_plus_override_flagged(self):
-        found = findings(
-            """
-            def inject(path, cfg):
-                return corrupt_checkpoint(path, config=cfg, seed=3)
-            """,
-        )
-        assert rules_hit(found) == {"deprecated-injector-kwargs"}
-        assert "replace" in found[0].message
-
-    def test_replay_log_config_plus_legacy_flagged(self):
-        found = findings(
-            """
-            def replay(path, log, cfg, mapping):
-                return replay_log(path, log, config=cfg,
-                                  location_map=mapping)
-            """,
-        )
-        assert rules_hit(found) == {"deprecated-injector-kwargs"}
-
-    def test_config_only_clean(self):
-        found = findings(
-            """
-            def inject(path, cfg):
-                corrupt_checkpoint(path, config=cfg, engine="scalar")
-                return replay_log(path, cfg.log, config=cfg)
-            """,
-        )
-        assert found == []
-
-    def test_loose_kwargs_without_config_clean(self):
-        found = findings(
-            """
-            def inject(path):
-                return corrupt_checkpoint(path, seed=3,
-                                          injection_attempts=5)
-            """,
-        )
-        assert found == []
-
-
 class TestFloatEq:
     def test_nan_self_comparison_flagged(self):
         found = findings(
@@ -484,7 +442,7 @@ class TestAtlasIngestOffsets:
             """,
             module="repro.atlas.ingest",
         )
-        assert rules_hit(found) == {"atlas-ingest-offsets"}
+        assert rules_hit(found) == {"durable-io"}
         assert "JsonlTail" in found[0].message
 
     def test_open_on_jsonl_literal_flagged(self):
@@ -492,7 +450,7 @@ class TestAtlasIngestOffsets:
             'records = open("journals/shard-0000.jsonl")\n',
             module="repro.atlas.store",
         )
-        assert rules_hit(found) == {"atlas-ingest-offsets"}
+        assert rules_hit(found) == {"durable-io"}
 
     def test_open_on_journal_variable_flagged(self):
         found = findings(
@@ -502,7 +460,7 @@ class TestAtlasIngestOffsets:
             """,
             module="repro.atlas.ingest",
         )
-        assert rules_hit(found) == {"atlas-ingest-offsets"}
+        assert rules_hit(found) == {"durable-io"}
 
     def test_jsonltail_usage_clean(self):
         found = findings(
@@ -536,5 +494,72 @@ class TestAtlasIngestOffsets:
                     return handle.readlines()
             """,
             module="repro.experiments.watch",
+        )
+        assert found == []
+
+
+class TestDurableIO:
+    def test_os_replace_flagged_in_repro(self):
+        found = findings(
+            """
+            import os
+
+            def commit(tmp, path):
+                os.replace(tmp, path)
+            """,
+            module="repro.serve.store",
+        )
+        assert rules_hit(found) == {"durable-io"}
+        assert "repro.durable" in found[0].message
+
+    def test_names_imported_from_os_flagged(self):
+        found = findings(
+            """
+            from os import O_CREAT, O_EXCL, link, open as os_open
+
+            def grab(tmp, path):
+                os_open(path, O_CREAT | O_EXCL)
+                link(tmp, path)
+            """,
+            module="repro.experiments.common",
+        )
+        assert [f.rule for f in found] == ["durable-io"] * 2
+
+    def test_excl_lock_with_ttl_still_flagged(self):
+        found = findings(
+            """
+            import os
+            import time
+
+            def grab(path, ttl):
+                if time.time() - os.stat(path).st_mtime > ttl:
+                    os.unlink(path)
+                return os.open(path, os.O_CREAT | os.O_EXCL)
+            """,
+            module="repro.serve.shards",
+        )
+        assert rules_hit(found) == {"durable-io"}
+
+    def test_durable_module_exempt(self):
+        found = findings(
+            """
+            import os
+
+            def publish(temp, path):
+                os.replace(temp, path)
+            """,
+            module="repro.durable",
+        )
+        assert found == []
+
+    def test_outside_repro_clean(self):
+        found = findings(
+            """
+            import os
+
+            def swap(a, b):
+                os.rename(a, b)
+            """,
+            module="tests.serve.test_store",
         )
         assert found == []

@@ -1,12 +1,13 @@
 """Whole-program analysis: fixture corpora, cache, jobs, explain.
 
-The fixture corpus under ``tests/lint/fixtures/`` is each cross-module
-rule's specification: every rule has at least one positive fixture (the
-protocol violated) and one negative (the protocol followed, including
-the interprocedurally-credited variants).  Fixtures are copied into a
-``src/repro/...`` layout in tmp_path so their dotted module names anchor
-inside the rules' domains — in place, under ``tests/``, they anchor as
-test modules and the whole-program rules ignore them by design.
+The fixture corpus under ``tests/lint/fixtures/`` specifies the rules
+whose verdict depends on where a module sits: each cross-module rule and
+the per-file ``durable-io`` rule has at least one positive fixture (the
+protocol violated) and one negative (the protocol followed).  Fixtures
+are copied into a ``src/repro/...`` layout in tmp_path so their dotted
+module names anchor inside the rules' domains — in place, under
+``tests/``, they anchor as test modules and the rules ignore them by
+design.
 """
 
 import json
@@ -38,68 +39,74 @@ def _findings(tmp_path, mapping, rule):
 
 
 class TestAtomicCommit:
-    def test_missing_fsync_flagged_with_trace(self, tmp_path):
+    """The commit half of the per-file ``durable-io`` rule: only
+    repro.durable renames a file into place."""
+
+    def test_hand_rolled_commit_flagged(self, tmp_path):
         found = _findings(
-            tmp_path, {"atomic/bad_commit.py": "src/repro/store.py"},
-            "atomic-commit")
+            tmp_path,
+            {"durable/hand_rolled_commit.py": "src/repro/store.py"},
+            "durable-io")
         assert len(found) == 1
-        assert "without an fsync" in found[0].message
-        assert found[0].trace, "interprocedural finding must carry a trace"
-        assert any("os.replace" in hop for hop in found[0].trace)
+        assert "os.replace outside repro.durable" in found[0].message
 
-    def test_local_fsync_clean(self, tmp_path):
-        assert _findings(
-            tmp_path, {"atomic/good_commit.py": "src/repro/store.py"},
-            "atomic-commit") == []
-
-    def test_helper_fsync_credited(self, tmp_path):
+    def test_durable_module_itself_exempt(self, tmp_path):
         assert _findings(
             tmp_path,
-            {"atomic/good_helper_commit.py": "src/repro/store.py",
-             "atomic/helpers.py": "src/repro/helpers.py"},
-            "atomic-commit") == []
-
-    def test_helper_fsync_required_to_be_present(self, tmp_path):
-        # same caller without the helper module: the credit disappears
-        found = _findings(
-            tmp_path,
-            {"atomic/good_helper_commit.py": "src/repro/store.py"},
-            "atomic-commit")
-        assert len(found) == 1
-
-    def test_marker_written_first_flagged(self, tmp_path):
-        found = _findings(
-            tmp_path,
-            {"atomic/bad_marker_order.py": "src/repro/store.py"},
-            "atomic-commit")
-        assert len(found) == 1
-        assert "write the marker last" in found[0].message
-
-    def test_marker_written_last_clean(self, tmp_path):
-        assert _findings(
-            tmp_path,
-            {"atomic/good_marker_order.py": "src/repro/store.py"},
-            "atomic-commit") == []
-
-    def test_inplace_marker_write_flagged(self, tmp_path):
-        found = _findings(
-            tmp_path, {"atomic/bad_inplace.py": "src/repro/store.py"},
-            "atomic-commit")
-        assert len(found) == 1
-        assert "in-place" in found[0].message
+            {"durable/hand_rolled_commit.py": "src/repro/durable.py"},
+            "durable-io") == []
 
     def test_pragma_suppresses(self, tmp_path):
-        source = (FIXTURES / "atomic" / "bad_commit.py").read_text()
+        source = (FIXTURES / "durable" / "hand_rolled_commit.py").read_text()
         source = source.replace(
             "    os.replace(tmp, catalog_path)",
             "    os.replace(tmp, catalog_path)"
-            "  # repro-lint: disable=atomic-commit")
+            "  # repro-lint: disable=durable-io")
         target = tmp_path / "src" / "repro" / "store.py"
         target.parent.mkdir(parents=True)
         target.write_text(source)
         result = analyze_paths([str(tmp_path)])
         assert [f for f in result.findings
-                if f.rule == "atomic-commit"] == []
+                if f.rule == "durable-io"] == []
+
+
+class TestLeaseProtocol:
+    """The lock half of ``durable-io``: only repro.durable.Lease creates
+    lock files."""
+
+    def test_excl_without_ttl_flagged(self, tmp_path):
+        found = _findings(
+            tmp_path, {"durable/excl_lock.py": "src/repro/lock.py"},
+            "durable-io")
+        assert len(found) == 1
+        assert "O_EXCL" in found[0].message
+        assert "Lease" in found[0].message
+
+
+class TestAtlasJournalReads:
+    """The atlas half of ``durable-io``: journals are read through
+    repro.durable.JsonlTail."""
+
+    def test_raw_journal_read_flagged(self, tmp_path):
+        found = _findings(
+            tmp_path,
+            {"durable/atlas_raw_journal.py": "src/repro/atlas/rows.py"},
+            "durable-io")
+        assert len(found) == 1
+        assert "JsonlTail" in found[0].message
+
+    def test_raw_journal_read_outside_atlas_not_flagged(self, tmp_path):
+        assert _findings(
+            tmp_path,
+            {"durable/atlas_raw_journal.py": "src/repro/rows.py"},
+            "durable-io") == []
+
+    def test_going_through_durable_clean(self, tmp_path):
+        # commits, a lease and a tail, placed where every check applies
+        assert _findings(
+            tmp_path,
+            {"durable/through_durable.py": "src/repro/atlas/rows.py"},
+            "durable-io") == []
 
 
 class TestForkReachability:
@@ -167,26 +174,6 @@ class TestRngPurityFlow:
             "rng-purity-flow") == []
 
 
-class TestLeaseProtocol:
-    def test_excl_without_ttl_flagged(self, tmp_path):
-        found = _findings(
-            tmp_path, {"lease/bad_lease.py": "src/repro/lock.py"},
-            "lease-protocol")
-        assert len(found) == 1
-        assert "O_CREAT|O_EXCL" in found[0].message
-        assert found[0].trace
-
-    def test_own_ttl_path_clean(self, tmp_path):
-        assert _findings(
-            tmp_path, {"lease/good_lease.py": "src/repro/lock.py"},
-            "lease-protocol") == []
-
-    def test_sibling_method_ttl_credited(self, tmp_path):
-        assert _findings(
-            tmp_path, {"lease/good_lease_class.py": "src/repro/lock.py"},
-            "lease-protocol") == []
-
-
 class TestGraph:
     def test_fork_entries_from_process_and_decorators(self, tmp_path):
         root = tmp_path / "src" / "repro"
@@ -225,8 +212,8 @@ class TestGraphCache:
     def test_warm_run_parses_nothing(self, tmp_path, monkeypatch):
         root = _materialize(
             tmp_path,
-            {"atomic/bad_commit.py": "src/repro/store.py",
-             "atomic/helpers.py": "src/repro/helpers.py"})
+            {"fork/bad_worker.py": "src/repro/worker.py",
+             "rng/mathutil.py": "src/repro/mathutil.py"})
         cache = str(tmp_path / "cache.json")
         cold = analyze_paths([root], cache_path=cache)
         assert cold.stats["parsed"] == 2
@@ -244,33 +231,33 @@ class TestGraphCache:
 
     def test_changed_file_reparsed_and_finding_updates(self, tmp_path):
         root = _materialize(
-            tmp_path, {"atomic/bad_commit.py": "src/repro/store.py"})
+            tmp_path, {"fork/bad_worker.py": "src/repro/worker.py"})
         cache = str(tmp_path / "cache.json")
         cold = analyze_paths([root], cache_path=cache)
-        assert any(f.rule == "atomic-commit" for f in cold.findings)
+        assert any(f.rule == "fork-reach" for f in cold.findings)
 
         # fix the file: the warm run re-parses exactly it and the
         # cross-module finding disappears
-        target = tmp_path / "src" / "repro" / "store.py"
+        target = tmp_path / "src" / "repro" / "worker.py"
         target.write_text(
-            (FIXTURES / "atomic" / "good_commit.py").read_text())
+            (FIXTURES / "fork" / "good_worker.py").read_text())
         warm = analyze_paths([root], cache_path=cache)
         assert warm.stats["parsed"] == 1
-        assert not any(f.rule == "atomic-commit" for f in warm.findings)
+        assert not any(f.rule == "fork-reach" for f in warm.findings)
 
 
 class TestJobsDeterminism:
     @pytest.mark.parametrize("jobs", [1, 8])
     def test_json_report_byte_identical_across_jobs(self, tmp_path, jobs):
         root = _materialize(tmp_path, {
-            "atomic/bad_commit.py": "src/repro/store.py",
-            "atomic/good_helper_commit.py": "src/repro/other_store.py",
-            "atomic/helpers.py": "src/repro/helpers.py",
+            "durable/hand_rolled_commit.py": "src/repro/store.py",
+            "durable/through_durable.py": "src/repro/other_store.py",
+            "durable/atlas_raw_journal.py": "src/repro/atlas/rows.py",
+            "durable/excl_lock.py": "src/repro/lock.py",
             "fork/bad_worker.py": "src/repro/worker.py",
             "fork/good_worker.py": "src/repro/worker_ok.py",
             "rng/probe_bad.py": "src/repro/health/probe_fx.py",
             "rng/noise.py": "src/repro/noise.py",
-            "lease/bad_lease.py": "src/repro/lock.py",
         })
         out = tmp_path / f"report-{jobs}.json"
         code = lint_main([root, "--no-baseline", "--jobs", str(jobs),
@@ -310,21 +297,54 @@ class TestRuntimeSweepRegression:
         repo = pathlib.Path(__file__).resolve().parents[2]
         result = analyze_paths([str(repo / "src" / "repro")])
         cross = [f for f in result.findings
-                 if f.rule in ("atomic-commit", "fork-reach",
-                               "rng-purity-flow", "lease-protocol")]
+                 if f.rule in ("fork-reach", "rng-purity-flow")]
         assert cross == [], [f.render() for f in cross]
         # the rule walks from the pool's worker loop and the serve worker
         entries = result.graph.fork_entries()
         assert "repro.experiments.runner._worker_main" in entries
         assert "repro.serve.scheduler.run_worker" in entries
 
-    def test_baseline_cache_fsyncs_before_commit(self, tmp_path):
-        # the unit half of the regression: the helper the fix introduced
-        # flushes an existing file and propagates a missing one
-        from repro.experiments.common import _fsync_path
+    def test_src_tree_commits_only_through_durable(self):
+        repo = pathlib.Path(__file__).resolve().parents[2]
+        result = analyze_paths([str(repo / "src" / "repro")])
+        found = [f for f in result.findings if f.rule == "durable-io"]
+        assert found == [], [f.render() for f in found]
 
-        target = tmp_path / "checkpoint.h5.tmp"
-        target.write_bytes(b"payload")
-        _fsync_path(str(target))  # must not raise
-        with pytest.raises(FileNotFoundError):
-            _fsync_path(str(tmp_path / "absent.tmp"))
+    def test_baseline_cache_fsyncs_before_commit(self, tmp_path,
+                                                 monkeypatch):
+        # each file's bytes reach the disk before its rename, the
+        # directory right after it, and meta.json (the commit marker)
+        # is renamed last
+        from repro.experiments.common import (SCALES, Baseline,
+                                              BaselineCache, SessionSpec)
+
+        class FakeTrainCache(BaselineCache):
+            def _train(self, spec, ckpt, final):
+                for path in (ckpt, final):
+                    with open(path, "wb") as handle:
+                        handle.write(b"weights")
+                return Baseline(spec, ckpt, final, [0.5], [0.5], 0.5)
+
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.readlink(f"/proc/self/fd/{fd}")))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.path.abspath(src), dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        spec = SessionSpec("chainer_like", "alexnet", SCALES["smoke"])
+        FakeTrainCache(str(tmp_path)).get(spec)
+        renames = [i for i, event in enumerate(events)
+                   if event[0] == "replace"]
+        assert [os.path.basename(events[i][2]) for i in renames] == \
+            ["checkpoint.h5", "final.h5", "meta.json"]
+        for i in renames:
+            _, src, dst = events[i]
+            assert events[i - 1] == ("fsync", src)
+            assert events[i + 1] == ("fsync", os.path.dirname(dst))

@@ -108,8 +108,9 @@ class TestRoundTrip:
         store, client = service
         payload = CampaignSpec(kind="serve_echo",
                                params={"count": 1}).to_dict()
-        with pytest.warns(DeprecationWarning):
+        with pytest.raises(TypeError, match=r"CampaignSpec\.from_dict"):
             client.submit(payload)
+        assert store.list_campaigns() == []
 
 
 class TestCancel:

@@ -1,5 +1,5 @@
-"""Shard manifests and lock-file leases: atomic writes, expiry/reclaim,
-and the racy-directory-creation regression."""
+"""Shard manifests and the leases workers claim them with: atomic JSON
+commits, expiry/reclaim, and the racy-directory-creation regression."""
 
 import multiprocessing
 import os
@@ -8,17 +8,15 @@ import time
 
 import pytest
 
+from repro.durable import Lease, read_json, write_json
 from repro.experiments.runner import TrialTask
 from repro.serve.shards import (
     Heartbeat,
-    ShardLease,
     cut_shards,
     ensure_dir,
     manifest_payload,
     manifest_tasks,
-    read_json,
     shard_name,
-    write_json_atomic,
 )
 
 
@@ -30,13 +28,13 @@ def tasks_of(n):
 class TestAtomicJson:
     def test_write_then_read(self, tmp_path):
         path = str(tmp_path / "deep" / "doc.json")
-        write_json_atomic(path, {"a": 1})
+        write_json(path, {"a": 1})
         assert read_json(path) == {"a": 1}
 
     def test_no_temp_files_left(self, tmp_path):
         path = str(tmp_path / "doc.json")
-        write_json_atomic(path, {"a": 1})
-        write_json_atomic(path, {"a": 2})
+        write_json(path, {"a": 1})
+        write_json(path, {"a": 2})
         assert sorted(os.listdir(tmp_path)) == ["doc.json"]
         assert read_json(path) == {"a": 2}
 
@@ -71,8 +69,8 @@ class TestShardCutting:
 class TestLease:
     def test_claim_is_exclusive(self, tmp_path):
         path = str(tmp_path / "lease")
-        first = ShardLease(path, owner="a")
-        second = ShardLease(path, owner="b")
+        first = Lease(path, owner="a")
+        second = Lease(path, owner="b")
         assert first.try_claim()
         assert not second.try_claim()
         first.release()
@@ -80,27 +78,27 @@ class TestLease:
 
     def test_context_manager_raises_when_held(self, tmp_path):
         path = str(tmp_path / "lease")
-        with ShardLease(path, owner="a"):
-            with pytest.raises(RuntimeError, match="held"):
-                with ShardLease(path, owner="b"):
+        with Lease(path, owner="a"):
+            with pytest.raises(TimeoutError, match="held"):
+                with Lease(path, owner="b"):
                     pass
         # released on exit
-        assert ShardLease(path, owner="c").try_claim()
+        assert Lease(path, owner="c").try_claim()
 
     def test_ttl_expiry_allows_reclaim(self, tmp_path):
         path = str(tmp_path / "lease")
-        stale = ShardLease(path, owner="dead", ttl=0.15)
+        stale = Lease(path, owner="dead", ttl=0.15)
         assert stale.try_claim()
         time.sleep(0.3)
-        fresh = ShardLease(path, owner="alive", ttl=0.15)
+        fresh = Lease(path, owner="alive", ttl=0.15)
         assert fresh.try_claim()
         assert fresh.held
 
     def test_heartbeat_keeps_lease_fresh(self, tmp_path):
         path = str(tmp_path / "lease")
-        lease = ShardLease(path, owner="busy", ttl=0.4)
+        lease = Lease(path, owner="busy", ttl=0.4)
         assert lease.try_claim()
-        rival = ShardLease(path, owner="rival", ttl=0.4)
+        rival = Lease(path, owner="rival", ttl=0.4)
         with Heartbeat(lease, interval=0.05):
             time.sleep(0.8)  # two ttls: without renewal this would expire
             assert not rival.try_claim()
@@ -114,8 +112,7 @@ class TestLease:
         victim.start()
         victim.join()
         assert os.path.exists(path)  # died holding the lease
-        reclaimer = ShardLease(path, owner="next", ttl=3600.0,
-                               dead_pid_grace=0.05)
+        reclaimer = Lease(path, owner="next", ttl=3600.0)
         deadline = time.monotonic() + 10
         while not reclaimer.try_claim():
             assert time.monotonic() < deadline
@@ -124,7 +121,7 @@ class TestLease:
 
     def test_reclaim_elects_exactly_one_winner(self, tmp_path):
         path = str(tmp_path / "lease")
-        stale = ShardLease(path, owner="dead", ttl=60.0)
+        stale = Lease(path, owner="dead", ttl=60.0)
         assert stale.try_claim()
         # backdate far past the ttl: every racer sees an expired lease,
         # while the winner's freshly-created one stays unmistakably live
@@ -132,7 +129,7 @@ class TestLease:
         past = time.time() - 300
         os.utime(path, (past, past))
 
-        leases = [ShardLease(path, owner=f"w{i}", ttl=60.0)
+        leases = [Lease(path, owner=f"w{i}", ttl=60.0)
                   for i in range(16)]
         barrier = threading.Barrier(len(leases))
 
@@ -150,14 +147,14 @@ class TestLease:
 
     def test_renew_survives_force_release(self, tmp_path):
         path = str(tmp_path / "lease")
-        lease = ShardLease(path, owner="a")
+        lease = Lease(path, owner="a")
         assert lease.try_claim()
         os.unlink(path)
         lease.renew()  # must not raise
 
 
 def _claim_and_die(path):
-    lease = ShardLease(path, owner="victim", ttl=3600.0)
+    lease = Lease(path, owner="victim", ttl=3600.0)
     assert lease.try_claim()
     os._exit(0)  # no release: simulates kill -9 holding the lease
 
@@ -167,9 +164,9 @@ def _racy_startup(root, index, results):
     try:
         shard_dir = os.path.join(root, "campaigns", "c1", "shards")
         ensure_dir(shard_dir)
-        write_json_atomic(os.path.join(shard_dir, "shared.json"),
+        write_json(os.path.join(shard_dir, "shared.json"),
                           {"writer": index})
-        write_json_atomic(os.path.join(shard_dir, f"own-{index}.json"),
+        write_json(os.path.join(shard_dir, f"own-{index}.json"),
                           {"writer": index})
         results.put((index, None))
     except Exception as exc:  # pragma: no cover - failure reporting

@@ -147,9 +147,8 @@ class TestCoercion:
 
     def test_dict_warns_deprecation(self):
         payload = CampaignSpec(kind="fig3", seed=5).to_dict()
-        with pytest.warns(DeprecationWarning, match="ad-hoc payload dict"):
-            spec = coerce_spec(payload)
-        assert spec.seed == 5
+        with pytest.raises(TypeError, match=r"CampaignSpec\.from_dict"):
+            coerce_spec(payload)
 
     def test_other_types_raise(self):
         with pytest.raises(TypeError):
