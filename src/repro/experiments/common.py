@@ -307,6 +307,12 @@ class BaselineCache:
             if cached is not None:
                 return cached
 
+            # a writer killed before its commit left its temps; with no
+            # ttl on the lease, their writer is dead
+            for name in os.listdir(directory):
+                if name.startswith(("checkpoint.h5.", "final.h5.",
+                                    "meta.json.")):
+                    os.unlink(os.path.join(directory, name))
             # train into temp names, then commit: checkpoints first,
             # meta.json last — readers only trust complete entries.
             suffix = f".tmp.{os.getpid()}"

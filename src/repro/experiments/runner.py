@@ -9,9 +9,10 @@ turns a harness's trial list into a *campaign*:
   (:mod:`repro.batched`), by default as many as fit memory when one
   process runs them all — and one scheduling policy runs them, in process
   (``workers=1``, no timeout) or on a pool of ``workers`` long-lived
-  forked processes, each reused while its attempts succeed and replaced
-  after one fails; results are bit-identical either way because every
-  trial is a pure function of its payload;
+  forked processes, each reused while its attempts succeed, replaced
+  after one fails and killed with the campaign process (:func:`pool_size`
+  sizes such a pool for a serve shard); results are bit-identical either
+  way because every trial is a pure function of its payload;
 * every terminal outcome is appended to a JSONL *journal* — an append-only
   record of (trial id, kind, payload, outcome, status, attempts, duration,
   worker) that survives ``kill -9`` mid-campaign;
@@ -33,11 +34,13 @@ one ordinary record per trial.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import itertools
 import json
 import logging
 import os
 import signal
+import sys
 import time
 import traceback
 from dataclasses import asdict, dataclass, field
@@ -473,6 +476,32 @@ def _free_memory() -> int:
     return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def pool_size(tasks: list[TrialTask], batch_trials: int) -> int:
+    """Pool processes for *tasks* cut into chunks of up to *batch_trials*,
+    sized by what this process is given.
+
+    One when any kind among them declares no per-trial footprint
+    (``trial_bytes``): such trials run in process, as they always have.
+    Otherwise the smallest of this process's CPU share (the BLAS thread
+    count :func:`repro.nn.blas.thread_budget` left it, one without
+    OpenBLAS), the chunk count, and the chunks in flight whose trials fit
+    a quarter of the free memory, the rule :func:`_chunk_size` applies to
+    a stack.
+    """
+    cpus = blas.num_threads() or 1
+    chunks = _cut(tasks, batch_trials, cpus)
+    if min(cpus, len(chunks)) < 2:
+        return 1  # one CPU or one chunk: no footprint to probe
+    footprint = 1
+    for chunk in chunks:
+        batch_kind = BATCH_TRIAL_KINDS.get(chunk.kind)
+        if batch_kind is None or batch_kind.trial_bytes is None:
+            return 1
+        footprint = max(footprint, len(chunk.tasks)
+                        * batch_kind.trial_bytes(chunk.tasks[0].payload))
+    return max(1, min(cpus, len(chunks), _free_memory() // 4 // footprint))
+
+
 def _attempt(kind: str, payloads: list[dict], batched: bool,
              trace: dict, attempt_id: str) -> list[dict]:
     """One attempt at a chunk: one outcome per payload, in order.
@@ -591,6 +620,10 @@ class _Policy:
                 run_time=chunk.run_time, outcome=records[0].outcome_class,
             )
         chunk.span.finish(status)
+        # the span is on disk before the journal holds its trials: a
+        # kill -9 between the two leaves a traced trial to run again,
+        # never a journaled one untraced
+        telemetry.flush()
         for record in records:
             log.debug("trial %s: %s after %d attempt(s) in %.3fs "
                       "(worker %d, chunk of %d)", record.trial_id, status,
@@ -612,7 +645,34 @@ def _run_in_process(policy: _Policy) -> None:
         policy.settle(chunk, outcomes, error)
 
 
-def _worker_main(conn, inherited: list) -> None:
+#: ``prctl`` option naming the signal a process gets when its parent dies
+_PR_SET_PDEATHSIG = 1
+
+
+def _die_with_parent(parent: int) -> bool:
+    """Have the kernel SIGKILL this process when *parent* dies (Linux; no
+    effect elsewhere).  False when *parent* is gone already.
+
+    The kernel watches the thread that forked, not the process;
+    :func:`_run_forked` forks every worker from the thread that joins them.
+    """
+    if sys.platform.startswith("linux"):
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+        prctl.restype = ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
+    # a parent that died before the prctl sends no signal
+    return os.getppid() == parent
+
+
+def _reply(conn, message: tuple) -> None:
+    # what the attempt emitted reaches the sink before the parent, told
+    # the attempt is over, can journal its trials
+    telemetry.flush()
+    conn.send(message)
+
+
+def _worker_main(conn, inherited: list, parent: int) -> None:
     """Pool worker entry point: run chunk attempts until told to stop.
 
     Each job is one chunk attempt (:func:`_attempt`'s arguments, the
@@ -620,8 +680,11 @@ def _worker_main(conn, inherited: list) -> None:
     ends the loop.  The reply is ``("ok", outcomes)`` or ``("error",
     traceback)``.  A worker outlives only attempts that returned outcomes:
     after a failed one it exits, so a retry never runs in the process that
-    failed.  Once the campaign parent is gone it exits quietly.
+    failed.  It dies with the campaign process *parent*, mid-attempt
+    included, so a ``kill -9``'d campaign leaves no trial running.
     """
+    if not _die_with_parent(parent):
+        return
     # the fork copied the parent's end of this worker's pipe and of each
     # live sibling's; a worker sees EOF when the parent dies only if no
     # other process holds its pipe's parent end
@@ -632,9 +695,9 @@ def _worker_main(conn, inherited: list) -> None:
     try:
         while (job := conn.recv()) is not None:
             try:
-                conn.send(("ok", _attempt(*job)))
+                _reply(conn, ("ok", _attempt(*job)))
             except Exception:
-                conn.send(("error", traceback.format_exc(limit=8)))
+                _reply(conn, ("error", traceback.format_exc(limit=8)))
                 return
             finally:
                 # worker counters join the merged stream: each snapshot is
@@ -656,7 +719,8 @@ class _Worker:
 def _fork_worker(ctx, pool: list[_Worker | None]) -> _Worker:
     conn, worker_end = ctx.Pipe()
     inherited = [conn] + [worker.conn for worker in pool if worker]
-    process = ctx.Process(target=_worker_main, args=(worker_end, inherited))
+    process = ctx.Process(target=_worker_main,
+                          args=(worker_end, inherited, os.getpid()))
     process.start()
     worker_end.close()
     return _Worker(process, conn)

@@ -18,7 +18,13 @@ A claimed shard runs through the ordinary
 journal and ``resume=True``, so a reclaimed shard (its previous owner
 killed mid-run) re-executes only the trials the journal does not already
 hold — the crash-safety the single-host engine already guarantees,
-inherited wholesale by the distributed layer.
+inherited wholesale by the distributed layer.  Trials whose kind declares
+a per-trial footprint run on the runner's fork pool, as many at once as
+:func:`~repro.experiments.runner.pool_size` allows: the worker's CPU
+share, capped by the shard's chunks and by memory.  Pool processes die
+with their worker, and each trial's span is written before its journal
+record, so a ``kill -9`` leaves neither a trial running nor a journaled
+trial untraced.
 
 Observability: before opening its ``serve.plan``/``serve.shard`` spans a
 worker restores the campaign's submit-time trace context
@@ -37,7 +43,7 @@ import os
 import time
 
 from .. import telemetry
-from ..experiments.runner import run_campaign
+from ..experiments.runner import pool_size, run_campaign
 from .shards import Heartbeat, manifest_tasks
 from .store import CampaignStore
 
@@ -211,12 +217,16 @@ class ServeWorker:
             with telemetry.span("serve.shard", campaign=cid, shard=shard_id,
                                 owner=self.owner, trials=len(tasks)) as span:
                 # a shard stacks only what its spec asks for: several
-                # workers share the host, and each would hold a stack
+                # workers share the host, and each would hold a stack.
+                # Its chunks run on as many pool processes as the
+                # worker's CPU share and the free memory allow; the lease
+                # heartbeat pauses around each fork of that pool
+                batch_trials = spec.batch_trials or 1
                 result = run_campaign(
-                    tasks, workers=1,
+                    tasks, workers=pool_size(tasks, batch_trials),
                     journal=self.store.shard_journal_path(cid, shard_id),
                     resume=True, **{**spec.runner_kwargs(),
-                                    "batch_trials": spec.batch_trials or 1})
+                                    "batch_trials": batch_trials})
                 span.set(executed=result.stats.executed,
                          skipped=result.stats.skipped)
             telemetry.count("serve.shards_completed")

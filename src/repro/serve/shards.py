@@ -75,14 +75,19 @@ def manifest_tasks(manifest: dict) -> list[TrialTask]:
 def resource_sample() -> dict:
     """This process's resident-set and CPU usage, for heartbeat samples.
 
-    ``ru_maxrss`` is kibibytes on Linux (the platform the fleet runs on);
-    the sample normalizes to bytes.  Reading ``getrusage`` never touches
-    experiment state — it is pure kernel accounting.
+    Both cover the child processes it has reaped, the trial pools of the
+    shards it finished: CPU seconds add up, and the resident set is the
+    larger peak of the two.  ``ru_maxrss`` is kibibytes on Linux (the
+    platform the fleet runs on); the sample normalizes to bytes.  Reading
+    ``getrusage`` never touches experiment state — it is pure kernel
+    accounting.
     """
-    usage = resource.getrusage(resource.RUSAGE_SELF)
+    own = resource.getrusage(resource.RUSAGE_SELF)
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
     return {
-        "rss_bytes": usage.ru_maxrss * 1024,
-        "cpu_seconds": usage.ru_utime + usage.ru_stime,
+        "rss_bytes": max(own.ru_maxrss, children.ru_maxrss) * 1024,
+        "cpu_seconds": (own.ru_utime + own.ru_stime
+                        + children.ru_utime + children.ru_stime),
     }
 
 
@@ -92,6 +97,12 @@ class Heartbeat:
     Keeps a long-running shard's lease fresh without the executing code
     having to think about it; ``stop()`` is idempotent and joins the
     thread so renewals never outlive the claim.
+
+    No fork of this process meets a running heartbeat thread: every fork
+    (a shard's trial pool) pauses the beating heartbeats first, joining
+    their threads, and the parent starts them again after it.  A thread
+    alive across ``fork`` could hold a lock the child then waits on
+    forever, and Python 3.12 warns on every such fork.
 
     With ``sample_path`` set, every beat additionally publishes a worker
     resource sample — host, pid, RSS, CPU seconds, a wall-clock ``ts``,
@@ -109,13 +120,24 @@ class Heartbeat:
             max(0.05, lease.ttl / 4.0)
         self.sample_path = sample_path
         self.info = info
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._wake: threading.Event | None = None
+        self._thread: threading.Thread | None = None
 
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
+    def _run(self, wake: threading.Event) -> None:
+        while not wake.wait(self.interval):
             self.lease.renew()
             self.sample()
+
+    def _launch(self) -> None:
+        self._wake = threading.Event()
+        self._thread = threading.Thread(
+            target=self._run, args=(self._wake,), daemon=True,
+            name=f"heartbeat-{self.lease.owner}")
+        self._thread.start()
+
+    def _halt(self) -> None:
+        self._wake.set()
+        self._thread.join(timeout=5.0)
 
     def sample(self) -> None:
         """Publish one worker resource sample (best-effort: a full disk
@@ -140,14 +162,17 @@ class Heartbeat:
             pass
 
     def start(self) -> "Heartbeat":
-        self._thread.start()
+        with _beating_lock:
+            self._launch()
+            _beating.add(self)
         self.sample()  # an immediate sample marks the claim, not just renewals
         return self
 
     def stop(self) -> None:
-        self._stop.set()
-        if self._thread.is_alive():
-            self._thread.join(timeout=5.0)
+        with _beating_lock:
+            if self in _beating:
+                _beating.remove(self)
+                self._halt()
         self.sample()  # final sample carries the finished counters
 
     def __enter__(self) -> "Heartbeat":
@@ -155,3 +180,32 @@ class Heartbeat:
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
+
+
+#: the heartbeats whose thread runs, and the lock that a fork holds from
+#: pausing them until they run again
+_beating: set[Heartbeat] = set()
+_beating_lock = threading.Lock()
+
+
+def _pause_beating() -> None:
+    _beating_lock.acquire()
+    for heartbeat in _beating:
+        heartbeat._halt()
+
+
+def _resume_beating() -> None:
+    for heartbeat in _beating:
+        heartbeat._launch()
+    _beating_lock.release()
+
+
+def _forget_beating() -> None:
+    # the child runs no heartbeat: only the forking thread survives a fork
+    global _beating_lock
+    _beating.clear()
+    _beating_lock = threading.Lock()
+
+
+os.register_at_fork(before=_pause_beating, after_in_parent=_resume_beating,
+                    after_in_child=_forget_beating)

@@ -58,6 +58,7 @@ from .core import (
     current_trace,
     enabled,
     event,
+    flush,
     flush_metrics,
     gauge,
     hostname,
@@ -128,6 +129,7 @@ __all__ = [
     "event",
     "final_attempt",
     "fleet_prometheus",
+    "flush",
     "flush_metrics",
     "gauge",
     "hostname",

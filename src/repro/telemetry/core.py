@@ -516,3 +516,10 @@ def flush_metrics() -> None:
     and write out any events the sink buffers."""
     if _pipeline is not None:
         _pipeline.flush_metrics()
+
+
+def flush() -> None:
+    """Write out the events the sink buffers (a ``trace_scope`` tee),
+    without a metrics snapshot."""
+    if _pipeline is not None:
+        _pipeline.sink.flush()

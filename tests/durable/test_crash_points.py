@@ -238,6 +238,10 @@ class BaselineCommit(Case):
         baseline = cache.get(SPEC)  # the next run completes the entry
         assert read(baseline.checkpoint_path) == WEIGHTS
         assert read(baseline.final_path) == WEIGHTS
+        # ... and leaves no temp file of the crashed writer beside it
+        entry = sorted(name for name in os.listdir(directory)
+                       if not name.startswith(".lock"))
+        assert entry == ["checkpoint.h5", "final.h5", "meta.json"], entry
 
 
 class BaselineRecommit(BaselineCommit):

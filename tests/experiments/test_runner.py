@@ -6,6 +6,7 @@ import json
 import math
 import os
 import signal
+import sys
 import time
 
 import multiprocessing
@@ -13,15 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
+from repro.experiments import runner
 from repro.experiments.runner import (
     Journal,
     TrialRecord,
     TrialTask,
     batch_trial_kind,
     get_trial_kind,
+    pool_size,
     run_campaign,
     trial_kind,
 )
+from repro.nn import blas
 
 # ---------------------------------------------------------------------------
 # Trial kinds used by the tests (module-level so forked workers inherit them)
@@ -87,6 +92,29 @@ def _pid(payload):
             handle.write(str(os.getpid()))
         get_trial_kind(f"test_{fail}")(payload)
     return {"pid": os.getpid()}
+
+
+@trial_kind("test_hold")
+def _hold(payload):
+    """Leaves its pid in the ``pids`` directory, then blocks while the
+    ``hold`` file exists (a minute at most)."""
+    with open(os.path.join(payload["pids"], str(os.getpid())), "w"):
+        pass
+    deadline = time.monotonic() + 60
+    while os.path.exists(payload["hold"]) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return {}
+
+
+@trial_kind("test_footprint")
+def _footprint(payload):
+    return {"value": payload["value"]}
+
+
+@batch_trial_kind("test_footprint", group_key=lambda payload: "all",
+                  trial_bytes=lambda payload: payload["bytes"])
+def _footprint_batch(payloads):
+    return [_footprint(payload) for payload in payloads]
 
 
 def pid_tasks(n, **payload):
@@ -488,6 +516,141 @@ def test_kill_dash_nine_leaves_no_pool_worker(tmp_path):
         for pid in pids:
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
+
+
+def _held_campaign(hold, pids):
+    """Child-process entry: a two-worker campaign whose trials block."""
+    run_campaign([TrialTask(f"hold/{i}", "test_hold",
+                            {"hold": hold, "pids": pids})
+                  for i in range(2)], workers=2)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="PR_SET_PDEATHSIG is Linux's")
+def test_kill_dash_nine_kills_workers_mid_trial(tmp_path):
+    """Workers die with their campaign process even mid-trial, so none
+    finishes a trial that the campaign can no longer journal."""
+    hold = tmp_path / "hold"
+    hold.touch()
+    pids_dir = tmp_path / "pids"
+    pids_dir.mkdir()
+    victim = multiprocessing.get_context("fork").Process(
+        target=_held_campaign, args=(str(hold), str(pids_dir)))
+    victim.start()
+    pids = set()
+    deadline = time.monotonic() + 60
+    while len(pids) < 2 and time.monotonic() < deadline:
+        pids = {int(name) for name in os.listdir(pids_dir)}
+        time.sleep(0.02)
+    os.kill(victim.pid, signal.SIGKILL)
+    victim.join(timeout=10)
+    try:
+        assert len(pids) == 2
+        deadline = time.monotonic() + 5
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert hold.exists()
+        assert not [pid for pid in pids if _running(pid)]
+    finally:
+        hold.unlink()
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+
+
+def test_worker_of_a_dead_parent_exits_at_once():
+    """A worker whose parent died before it could ask to die with it
+    exits without waiting for a job."""
+    context = multiprocessing.get_context("fork")
+    conn, worker_end = context.Pipe()
+    gone = os.getpid() + 1  # not the worker's parent: that is this process
+    process = context.Process(target=runner._worker_main,
+                              args=(worker_end, [conn], gone))
+    process.start()
+    worker_end.close()
+    process.join(timeout=10)
+    stuck = process.is_alive()
+    conn.close()  # EOF frees a worker that waits for a job
+    process.join()
+    assert not stuck and process.exitcode == 0
+
+
+def test_trial_span_is_written_before_its_journal_record(tmp_path,
+                                                       monkeypatch):
+    """A kill -9 between the two must not leave a journaled trial
+    untraced: the span leaves the buffered tee first."""
+    tee = tmp_path / "tee.jsonl"
+    append = Journal.append
+    traced_at_append = []
+
+    def checking_append(journal, record):
+        spans = [json.loads(line) for line in tee.read_text().splitlines()]
+        traced_at_append.append(record.trial_id in {
+            (span.get("attrs") or {}).get("trial_id") for span in spans
+            if span.get("name") == "trial"})
+        append(journal, record)
+
+    monkeypatch.setattr(Journal, "append", checking_append)
+    with telemetry.trace_scope(jsonl=str(tee)):
+        run_campaign(echo_tasks(3), journal=str(tmp_path / "j.jsonl"))
+    assert traced_at_append == [True] * 3
+
+
+def test_pool_worker_writes_its_events_before_replying(tmp_path):
+    tee = tmp_path / "tee.jsonl"
+    written_at_send = []
+
+    class Conn:
+        def send(self, message):
+            written_at_send.append(tee.read_text() if tee.exists() else "")
+
+    with telemetry.trace_scope(jsonl=str(tee)):
+        telemetry.event("in_the_attempt")
+        runner._reply(Conn(), ("ok", [{}]))
+    assert "in_the_attempt" in written_at_send[0]
+
+
+# ---------------------------------------------------------------------------
+# Pool size
+# ---------------------------------------------------------------------------
+
+
+def footprint_tasks(n, trial_bytes=1 << 20):
+    return [TrialTask(f"footprint/{i}", "test_footprint",
+                      {"value": i, "bytes": trial_bytes}) for i in range(n)]
+
+
+@pytest.fixture
+def cpu_share(monkeypatch):
+    """Set the BLAS thread count the rule reads as the CPU share."""
+    return lambda threads: monkeypatch.setattr(blas, "num_threads",
+                                               lambda: threads)
+
+
+def test_pool_size_keeps_kinds_without_footprint_in_process(cpu_share):
+    cpu_share(4)
+    assert pool_size(echo_tasks(8), 1) == 1
+    assert pool_size(footprint_tasks(4) + echo_tasks(1), 1) == 1
+
+
+@pytest.mark.parametrize("share, chunks, size", [
+    (1, 8, 1), (2, 8, 2), (4, 2, 2), (None, 8, 1)])
+def test_pool_size_is_cpu_share_capped_by_chunks(cpu_share, share, chunks,
+                                                 size):
+    cpu_share(share)  # None: no OpenBLAS, one CPU's share
+    assert pool_size(footprint_tasks(chunks), 1) == size
+
+
+@pytest.mark.parametrize("batch_trials", [1, 4])
+def test_pool_size_fits_a_quarter_of_free_memory(cpu_share, monkeypatch,
+                                                 batch_trials):
+    cpu_share(4)
+    chunk_bytes = batch_trials * (1 << 20)  # a chunk holds its trials
+    tasks = footprint_tasks(4 * batch_trials)
+    monkeypatch.setattr(runner, "_free_memory", lambda: 4 * 2 * chunk_bytes)
+    assert pool_size(tasks, batch_trials) == 2
+    monkeypatch.setattr(runner, "_free_memory", lambda: 2 * chunk_bytes - 1)
+    assert pool_size(tasks, batch_trials) == 1
 
 
 # ---------------------------------------------------------------------------

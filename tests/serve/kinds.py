@@ -8,7 +8,7 @@ shipped harnesses.
 import os
 import time
 
-from repro.experiments.runner import TrialTask, trial_kind
+from repro.experiments.runner import TrialTask, batch_trial_kind, trial_kind
 from repro.serve.spec import plan_builder
 
 
@@ -69,4 +69,37 @@ def _hold_plan(spec, cache):
                                "hold_values": params.get("hold_values", []),
                                "marker": params.get("marker"),
                                "max_wait": params.get("max_wait", 60.0)})
+            for index in range(params.get("count", 4))]
+
+
+@trial_kind("serve_pool")
+def _pool(payload):
+    """``serve_hold`` after a ``delay``, leaving ``<value>.<pid>`` in the
+    ``pids`` directory first.  Its footprint puts it on the worker's pool."""
+    if payload.get("pids"):
+        name = f"{payload['value']}.{os.getpid()}"
+        with open(os.path.join(payload["pids"], name), "w",
+                  encoding="utf-8"):
+            pass
+    time.sleep(payload.get("delay", 0.0))
+    return _hold(payload)
+
+
+@batch_trial_kind("serve_pool", group_key=lambda payload: "all",
+                  trial_bytes=lambda payload: 1 << 20)
+def _pool_batch(payloads):
+    return [_pool(payload) for payload in payloads]
+
+
+@plan_builder("serve_pool")
+def _pool_plan(spec, cache):
+    params = spec.params
+    return [TrialTask(trial_id=f"serve_pool/{spec.seed}/{index}",
+                      kind="serve_pool",
+                      payload={"value": index,
+                               "hold_file": params.get("hold_file", ""),
+                               "hold_values": params.get("hold_values", []),
+                               "marker": params.get("marker"),
+                               "pids": params.get("pids"),
+                               "delay": params.get("delay", 0.0)})
             for index in range(params.get("count", 4))]

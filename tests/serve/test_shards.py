@@ -16,6 +16,7 @@ from repro.serve.shards import (
     ensure_dir,
     manifest_payload,
     manifest_tasks,
+    resource_sample,
     shard_name,
 )
 
@@ -171,6 +172,25 @@ def _racy_startup(root, index, results):
         results.put((index, None))
     except Exception as exc:  # pragma: no cover - failure reporting
         results.put((index, repr(exc)))
+
+
+def _burn(seconds):
+    end = time.process_time() + seconds
+    while time.process_time() < end:
+        pass
+
+
+def test_resource_sample_counts_reaped_children():
+    """A pooled worker's trials run in its children: once they are
+    reaped, their CPU seconds are in the worker's samples."""
+    before = resource_sample()
+    child = multiprocessing.get_context("fork").Process(target=_burn,
+                                                        args=(0.3,))
+    child.start()
+    child.join()
+    after = resource_sample()
+    assert after["cpu_seconds"] - before["cpu_seconds"] >= 0.3
+    assert after["rss_bytes"] >= before["rss_bytes"]
 
 
 def test_simultaneous_workers_create_directories_safely(tmp_path):
