@@ -21,10 +21,10 @@ import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping
 
-#: Canonical outcome-class labels, in severity order.  Mirrors
-#: :data:`repro.health.outcome.OUTCOMES`; kept literal here so ``analysis``
-#: stays importable without the health stack (a test pins the two in sync).
-CANONICAL_OUTCOMES = ("masked", "degraded", "collapsed", "crashed")
+from ..health.outcome import OUTCOMES, classify_trial_record
+
+#: Canonical outcome-class labels, in severity order.
+CANONICAL_OUTCOMES = OUTCOMES
 
 #: labels already warned about, so a campaign with thousands of records
 #: carrying one misspelled label warns once, not thousands of times
@@ -56,6 +56,16 @@ def _split_outcomes(outcomes: Mapping) -> tuple[dict, dict]:
                 f"(canonical labels: {', '.join(CANONICAL_OUTCOMES)})",
                 stacklevel=3)
     return known, other
+
+
+def outcome_label(record: Mapping) -> str:
+    """A journal record's outcome class: the ``outcome_class`` it was
+    journaled with, else ``classify_trial_record(status, outcome)``, the
+    rule the runner stamps with.  Every reader that counts outcomes (the
+    campaign trailer, ``watch``, the serve rollups, the atlas) labels a
+    record by it."""
+    return record.get("outcome_class") or classify_trial_record(
+        str(record.get("status") or "failed"), record.get("outcome"))
 
 
 @dataclass(frozen=True)
@@ -154,9 +164,9 @@ class CampaignStats:
     validated: int = 0
     structural_findings: int = 0
     #: classified-outcome histogram (``masked``/``degraded``/``collapsed``/
-    #: ``crashed`` — see :mod:`repro.health.outcome`).  Records journaled
-    #: before the classifier existed carry no ``outcome_class`` and are
-    #: simply absent from the histogram.
+    #: ``crashed`` — see :mod:`repro.health.outcome`), one label per record
+    #: by :func:`outcome_label`: records journaled before the classifier
+    #: existed are classified from their status and outcome.
     outcomes: dict = field(default_factory=dict)
     #: non-canonical outcome labels (and their counts) seen in the input —
     #: kept apart from ``outcomes`` so rate math over canonical classes
@@ -175,9 +185,8 @@ class CampaignStats:
         timeouts = sum(1 for r in records if r.get("timed_out"))
         histogram: dict[str, int] = {}
         for record in records:
-            label = record.get("outcome_class")
-            if label:
-                histogram[label] = histogram.get(label, 0) + 1
+            label = outcome_label(record)
+            histogram[label] = histogram.get(label, 0) + 1
         outcomes, other = _split_outcomes(histogram)
         validated = sum(1 for r in records
                         if r.get("structural_findings") is not None)

@@ -22,10 +22,11 @@ and interleave their ``flip``/``health`` events in one stream.  Both
 emitters now stamp ``trial_id`` into their event attrs (the injector via
 ``telemetry.tag_scope``, the probe via ``ModelHealthProbe(trial_id=...)``)
 and every stream filter here takes a ``trial_id=`` keyword that keys the
-join on that stamp — the only correct per-trial key under batching.  A
-trial the runner re-ran (a retry, or a failed batched chunk's fallback)
-emitted its events once per attempt; a per-trial filter keeps only the
-last attempt's (:func:`repro.telemetry.final_attempt`).
+join on that stamp — the only correct per-trial key under batching —
+through the trial join every telemetry reader shares
+(:func:`repro.telemetry.aggregate.trial_events`): an unstamped event
+belongs to no trial, and a trial the runner re-ran (a retry, or a failed
+batched chunk's fallback) keeps only its last attempt's events.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..telemetry.aggregate import decode_events, final_attempt
+from ..telemetry.aggregate import decode_events, trial_events, trial_of
 
 #: Health stats compared when looking for divergence, in the order they
 #: are reported as the divergence reason.  ``min``/``max`` are implied by
@@ -42,25 +43,16 @@ COMPARED_STATS = ("nan_count", "inf_count", "l2", "abs_max",
                   "zero_fraction", "update_l2")
 
 
-def event_trial_id(event: dict) -> str | None:
-    """The ``trial_id`` an event was stamped with, if any."""
-    trial_id = (event.get("attrs") or {}).get("trial_id")
-    return None if trial_id is None else str(trial_id)
+#: The ``trial_id`` an event was stamped with, if any: the trial join's
+#: attribution rule (:func:`repro.telemetry.aggregate.trial_of`).
+event_trial_id = trial_of
 
 
 def _for_trial(events: list[dict], trial_id: str | None) -> list[dict]:
-    """Restrict *events* to one trial's when *trial_id* is given.
-
-    ``None`` keeps every event (the single-trial-per-stream legacy mode);
-    a concrete id keeps only events stamped with it — unstamped events are
-    dropped rather than guessed at, since in a batched stream an unstamped
-    event could belong to any trial of the chunk — and of those only the
-    trial's last attempt's.
-    """
-    if trial_id is None:
-        return events
-    return final_attempt(
-        [e for e in events if event_trial_id(e) == str(trial_id)])
+    """*events*, or only *trial_id*'s last-attempt ones when it is given
+    (:func:`repro.telemetry.aggregate.trial_events`: an unstamped event
+    belongs to no trial)."""
+    return events if trial_id is None else trial_events(events, str(trial_id))
 
 
 def health_events(events: list[dict], *,

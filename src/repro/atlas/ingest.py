@@ -17,9 +17,9 @@ never decoded: each injector ``flips`` line's columns (and each per-flip
 ``flip`` event of a stream older than that format) fold straight into its
 trial's :class:`FlipSummary` — the flip count and the distinct layers,
 bits and precisions, all a row needs — so the ingest holds memory per
-trial, not per flip.  Flips are keyed on the ``trial_id`` stamp, with a
-span-parent-chain fallback for streams that predate stamping, and only
-the last attempt's count when the runner re-ran the trial.  Every trial
+trial, not per flip.  Flips are keyed on the ``trial_id`` stamp by the
+shared trial join (:class:`repro.telemetry.aggregate.TrialJoin`), and
+only the last attempt's count when the runner re-ran the trial.  Every trial
 record is joined with its summary into one atlas row; rows land in the
 store's deterministic segments (see :mod:`repro.atlas.store` for why
 re-ingest is always byte-identical, including after a mid-ingest
@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 from .. import telemetry
 from ..durable import JsonlTail
-from ..health.outcome import classify_trial_record
-from ..telemetry.aggregate import FLIP_COLUMNS
+from ..analysis.campaign import outcome_label
+from ..telemetry.aggregate import FlipSummary, TrialJoin
 from .store import CHUNK_ROWS, MULTI, UNKNOWN, AtlasStore, segment_name
 
 
@@ -49,118 +49,22 @@ class JournalSource:
     telemetry_paths: tuple[str, ...] = ()
 
 
-class FlipSummary:
-    """What an atlas row keeps of one trial's flips: how many there were
-    (``len()``) and the distinct layers, bits and precisions they hit."""
-
-    __slots__ = ("count", "layers", "bits", "precisions")
-
-    def __init__(self):
-        self.count = 0
-        self.layers: set[str] = set()
-        self.bits: set[int] = set()
-        self.precisions: set[int] = set()
-
-    def __len__(self) -> int:
-        return self.count
-
-    def add(self, locations, bits, precisions) -> None:
-        """Fold in a run of flips given as equal-length columns."""
-        self.count += len(locations)
-        self.layers.update(str(location or "?") for location in set(locations))
-        self.bits.update(int(bit) for bit in set(bits) if bit is not None)
-        self.precisions.update(int(precision) for precision in set(precisions)
-                               if precision is not None)
-
-    def update(self, other: "FlipSummary") -> None:
-        self.count += other.count
-        self.layers |= other.layers
-        self.bits |= other.bits
-        self.precisions |= other.precisions
-
-    @classmethod
-    def of(cls, flips: list[dict]) -> "FlipSummary":
-        """The summary of decoded ``flip`` event attrs."""
-        summary = cls()
-        summary.add([flip.get("location") for flip in flips],
-                    [flip.get("bit_msb") for flip in flips],
-                    [flip.get("precision") for flip in flips])
-        return summary
-
-
 _NO_FLIPS = FlipSummary()
-_UNSTAMPED = object()
 
 
 def flips_by_trial(events) -> dict[str, FlipSummary]:
-    """Each trial's flips, folded into a :class:`FlipSummary`.
+    """Each trial's flips, folded into a :class:`FlipSummary` by the
+    shared trial join (:class:`repro.telemetry.aggregate.TrialJoin`).
 
     *events* are a stream as written (:func:`repro.telemetry.read_events`):
     a ``flips`` event folds column by column, never expanded, and the
     per-flip ``flip`` events of older streams (or decoded ones) fold one
     by one, so either form of the same flips gives the same summaries.
-    The primary key is the ``trial_id`` stamp
-    (:func:`repro.telemetry.tag_scope` on the injection path); events from
-    streams that predate stamping are attributed by walking their span
-    parent chain up to the enclosing ``trial`` span.  A trial the runner
-    re-ran keeps only its last attempt's flips
-    (:func:`repro.telemetry.final_attempt`).
+    A flip belongs to the trial its ``trial_id`` stamp names, and to no
+    trial without one; a trial the runner re-ran keeps only its last
+    attempt's flips.
     """
-    spans: dict = {}  # span_id -> (trial_id attr, parent_id)
-    # runs of flips in stream order: (trial_id, span_id, attempt) and an
-    # event-shaped stub holding the run's attempt tag and summary
-    runs: list[tuple[tuple, dict]] = []
-    for event in events:
-        attrs = event.get("attrs") or {}
-        if event.get("type") == "span":
-            if event.get("span_id") is not None:
-                spans[event["span_id"]] = (attrs.get("trial_id"),
-                                           event.get("parent_id"))
-            continue
-        name = event.get("name")
-        if event.get("type") != "event" or name not in ("flips", "flip"):
-            continue
-        if name == "flips":
-            width = min(len(attrs.get(column, ()))
-                        for column in FLIP_COLUMNS)
-            if not width:
-                continue
-            columns = [attrs[column][:width]
-                       for column in ("location", "bit_msb", "precision")]
-        else:
-            columns = [[attrs.get(column)]
-                       for column in ("location", "bit_msb", "precision")]
-        key = (attrs.get("trial_id"), event.get("span_id"),
-               attrs.get("attempt_id", _UNSTAMPED))
-        if not runs or runs[-1][0] != key:
-            tags = ({} if key[2] is _UNSTAMPED
-                    else {"attempt_id": key[2]})
-            runs.append((key, {"attrs": tags, "flips": FlipSummary()}))
-        runs[-1][1]["flips"].add(*columns)
-
-    def from_span_chain(span_id) -> str | None:
-        seen: set = set()
-        while span_id is not None and span_id not in seen:
-            seen.add(span_id)
-            if span_id not in spans:
-                return None
-            trial_id, span_id = spans[span_id]
-            if trial_id is not None:
-                return str(trial_id)
-        return None
-
-    grouped: dict[str, list[dict]] = {}
-    for (trial_id, span_id, _), stub in runs:
-        if trial_id is None:
-            trial_id = from_span_chain(span_id)
-        if trial_id is not None:
-            grouped.setdefault(str(trial_id), []).append(stub)
-    summaries: dict[str, FlipSummary] = {}
-    for trial_id, stubs in grouped.items():
-        summary = summaries[trial_id] = FlipSummary()
-        for stub in telemetry.final_attempt(stubs):
-            summary.update(stub["flips"])
-    return summaries
+    return TrialJoin().read(events).flips()
 
 
 def _unique(distinct: set, *, multi, empty):
@@ -185,8 +89,7 @@ def derive_row(record: dict, campaign: str, flips: FlipSummary) -> dict:
             declared = int(declared)
             mode = ("none" if declared == 0
                     else "single" if declared == 1 else "multi")
-    outcome = record.get("outcome_class") or classify_trial_record(
-        str(record.get("status") or "failed"), record.get("outcome"))
+    outcome = outcome_label(record)
     return {
         "campaign": campaign,
         "trial_id": str(record.get("trial_id") or "?"),

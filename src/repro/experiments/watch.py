@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 from http.server import ThreadingHTTPServer
 
 from ..durable import JsonlTail
-from ..health.outcome import CRASHED, OUTCOMES
+from ..analysis.campaign import CampaignStats
+from ..health.outcome import OUTCOMES
 from ..serve.httpd import (
     PROMETHEUS_CTYPE,
     Route,
@@ -52,7 +53,6 @@ from ..telemetry.fleet import (
     Alert,
     FleetStats,
     evaluate_alerts,
-    fleet_prometheus,
 )
 
 __all__ = [
@@ -62,8 +62,6 @@ __all__ = [
     "WatchSnapshot",
     "add_fleet_arguments",
     "add_watch_arguments",
-    "build_fleet_server",
-    "fleet_routes",
     "build_server",
     "fleet_command",
     "render_fleet_frame",
@@ -175,21 +173,7 @@ class CampaignWatch:
         return None
 
     def _snapshot(self) -> WatchSnapshot:
-        outcomes: dict[str, int] = {}
-        ok = failed = retries = timeouts = 0
-        for record in self._records:
-            status = record.get("status")
-            if status == "ok":
-                ok += 1
-            elif status == "failed":
-                failed += 1
-            retries += max(0, int(record.get("attempts", 1)) - 1)
-            timeouts += 1 if record.get("timed_out") else 0
-            label = record.get("outcome_class")
-            if label not in OUTCOMES:
-                # pre-classifier journals: crashed iff no outcome came back
-                label = (CRASHED if status != "ok" else "unclassified")
-            outcomes[label] = outcomes.get(label, 0) + 1
+        stats = CampaignStats.from_records(self._records, wall_time=0.0)
 
         now = time.monotonic()
         wall = time.time()
@@ -228,7 +212,7 @@ class CampaignWatch:
                 break
 
         total = self._total()
-        done = ok + failed
+        done = stats.ok + stats.failed
         observed = (now - self._first_record_at
                     if self._first_record_at is not None else 0.0)
         rate = done / observed if observed > 0 and done else 0.0
@@ -241,8 +225,9 @@ class CampaignWatch:
                 eta = remaining / rate
         return WatchSnapshot(
             journal=self.journal_path, telemetry=self.telemetry_path,
-            done=done, ok=ok, failed=failed, retries=retries,
-            timeouts=timeouts, outcomes=outcomes, total=total,
+            done=done, ok=stats.ok, failed=stats.failed,
+            retries=stats.retries, timeouts=stats.timeouts,
+            outcomes={**stats.outcomes, **stats.other_outcomes}, total=total,
             in_flight=(max(0, total - done) if total is not None else None),
             active_workers=len(active),
             elapsed=now - self._started,
@@ -251,6 +236,11 @@ class CampaignWatch:
         )
 
     # -- exports -----------------------------------------------------------
+
+    def observe(self) -> tuple[dict, list[str], bool]:
+        """One console observation: ``(JSON snapshot, frame, complete)``."""
+        snapshot = self.poll()
+        return snapshot.to_json(), render_frame(snapshot), snapshot.complete
 
     def prometheus(self) -> str:
         """Prometheus exposition of the telemetry stream so far, plus
@@ -307,7 +297,7 @@ def render_frame(snapshot: WatchSnapshot) -> list[str]:
         + (f", {snapshot.in_flight} to go"
            if snapshot.in_flight is not None else ""),
     ]
-    order = [*OUTCOMES, "unclassified"]
+    order = list(OUTCOMES)
     counts = [f"{name} {snapshot.outcomes[name]}" for name in order
               if name in snapshot.outcomes]
     counts += [f"{name} {count}" for name, count
@@ -346,12 +336,13 @@ def render_frame(snapshot: WatchSnapshot) -> list[str]:
 # --serve: /metrics and /health over the shared repro.serve router
 # ---------------------------------------------------------------------------
 
-def watch_routes(watch: CampaignWatch) -> list[Route]:
-    """The watcher's route table (shared router from
-    :mod:`repro.serve.httpd`, so behaviour matches the campaign front
-    door)."""
+def watch_routes(watch) -> list[Route]:
+    """The console's route table over a :class:`CampaignWatch` or a
+    :class:`FleetWatch` (shared router from :mod:`repro.serve.httpd`, so
+    behaviour matches the campaign front door): ``/`` and ``/health``
+    serve its JSON snapshot, ``/metrics`` its exposition."""
     def health(request):
-        return json_response(watch.poll().to_json())
+        return json_response(watch.observe()[0])
 
     def metrics(request):
         return text_response(watch.prometheus(),
@@ -364,7 +355,7 @@ def watch_routes(watch: CampaignWatch) -> list[Route]:
     ]
 
 
-def build_server(watch: CampaignWatch, port: int,
+def build_server(watch, port: int,
                  host: str = "127.0.0.1") -> ThreadingHTTPServer:
     """A threading HTTP server exposing *watch* (not yet serving;
     call ``serve_forever`` — typically on a daemon thread)."""
@@ -430,11 +421,18 @@ class FleetWatch:
         except OSError:
             pass
 
+    def observe(self) -> tuple[dict, list[str], bool]:
+        """One console observation: ``(JSON snapshot with the firing
+        alerts, frame, False)`` — a fleet is never complete."""
+        stats, alerts = self.poll()
+        payload = stats.to_json()
+        payload["alerts"] = [alert.to_json() for alert in alerts]
+        return _json_safe(payload), render_fleet_frame(stats, alerts), False
+
     def prometheus(self) -> str:
         """Store counters + ``repro_fleet_*`` rollups + alert totals."""
         stats, _ = self.poll()
-        return self.store.prometheus() + fleet_prometheus(
-            stats, alert_totals=self.alert_totals)
+        return self.store.exposition(stats, alert_totals=self.alert_totals)
 
 
 def _fmt_bytes(count: float | None) -> str:
@@ -481,31 +479,6 @@ def render_fleet_frame(stats: FleetStats,
         lines.append(f"  ALERT [{alert.severity}] {alert.rule}: "
                      f"{alert.message}")
     return lines
-
-
-def fleet_routes(watch: FleetWatch) -> list[Route]:
-    """``/metrics`` and ``/health`` for the fleet console's ``--serve``."""
-    def health(request):
-        stats, alerts = watch.poll()
-        payload = stats.to_json()
-        payload["alerts"] = [alert.to_json() for alert in alerts]
-        return json_response(_json_safe(payload))
-
-    def metrics(request):
-        return text_response(watch.prometheus(),
-                             content_type=PROMETHEUS_CTYPE)
-
-    return [
-        Route("GET", "/", health),
-        Route("GET", "/health", health),
-        Route("GET", "/metrics", metrics),
-    ]
-
-
-def build_fleet_server(watch: FleetWatch, port: int,
-                       host: str = "127.0.0.1") -> ThreadingHTTPServer:
-    """A threading HTTP server exposing the fleet console."""
-    return _build_http_server(fleet_routes(watch), port, host=host)
 
 
 # ---------------------------------------------------------------------------
@@ -560,13 +533,18 @@ def watch_command(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     watch = CampaignWatch(args.journal, args.telemetry, total=args.total)
+    return _console(args, watch)
+
+
+def _console(args: argparse.Namespace, watch) -> int:
+    """The console loop of ``watch`` and ``fleet``: redraw *watch*'s frame
+    in place (or print its JSON snapshots) every ``--interval`` seconds
+    until ``--once``, completion or Ctrl-C, serving ``/metrics`` and
+    ``/health`` meanwhile under ``--serve``."""
     server = None
-    server_thread = None
     if args.serve is not None:
         server = build_server(watch, args.serve)
-        server_thread = threading.Thread(target=server.serve_forever,
-                                         daemon=True)
-        server_thread.start()
+        threading.Thread(target=server.serve_forever, daemon=True).start()
         print(f"serving /metrics and /health on "
               f"http://{server.server_address[0]}:{server.server_address[1]}",
               file=sys.stderr)
@@ -575,18 +553,17 @@ def watch_command(args: argparse.Namespace) -> int:
     frame_lines = 0
     try:
         while True:
-            snapshot = watch.poll()
+            payload, frame, complete = watch.observe()
             if args.json:
-                print(json.dumps(snapshot.to_json()), flush=True)
+                print(json.dumps(payload), flush=True)
             else:
-                frame = render_frame(snapshot)
                 if in_place and frame_lines:
                     # move to the top of the previous frame and clear down
                     sys.stdout.write(f"\x1b[{frame_lines}F\x1b[J")
                 sys.stdout.write("\n".join(frame) + "\n")
                 sys.stdout.flush()
                 frame_lines = len(frame)
-            if args.once or snapshot.complete:
+            if args.once or complete:
                 break
             time.sleep(args.interval)
     except KeyboardInterrupt:
@@ -618,38 +595,4 @@ def fleet_command(args: argparse.Namespace) -> int:
         print(error, file=sys.stderr)
         return 2
     root = getattr(args, "root", None) or getattr(args, "fleet", None)
-    watch = FleetWatch(root)
-    server = None
-    if args.serve is not None:
-        server = build_fleet_server(watch, args.serve)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        print(f"serving /metrics and /health on "
-              f"http://{server.server_address[0]}:{server.server_address[1]}",
-              file=sys.stderr)
-
-    in_place = sys.stdout.isatty() and not args.json
-    frame_lines = 0
-    try:
-        while True:
-            stats, alerts = watch.poll()
-            if args.json:
-                payload = stats.to_json()
-                payload["alerts"] = [alert.to_json() for alert in alerts]
-                print(json.dumps(_json_safe(payload)), flush=True)
-            else:
-                frame = render_fleet_frame(stats, alerts)
-                if in_place and frame_lines:
-                    sys.stdout.write(f"\x1b[{frame_lines}F\x1b[J")
-                sys.stdout.write("\n".join(frame) + "\n")
-                sys.stdout.flush()
-                frame_lines = len(frame)
-            if args.once:
-                break
-            time.sleep(args.interval)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        if server is not None:
-            server.shutdown()
-            server.server_close()
-    return 0
+    return _console(args, FleetWatch(root))

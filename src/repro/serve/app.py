@@ -48,8 +48,7 @@ from http.server import ThreadingHTTPServer
 from ..atlas.query import DIMENSIONS, resolve_dimension
 from ..atlas.render import surface_html
 from ..atlas.service import AtlasService
-from ..telemetry import TraceContext, chrome_trace
-from ..telemetry.fleet import FleetTelemetry
+from ..telemetry import TraceContext, TrialJoin, chrome_trace, read_events
 from .httpd import (
     PROMETHEUS_CTYPE,
     Request,
@@ -134,32 +133,38 @@ class ServeApp:
         Default is Chrome ``trace_event`` JSON (one track per worker
         process, host-disambiguated); ``?format=events`` returns the raw
         merged event list; ``?format=summary`` the trace id, source
-        files, and per-trial span index the CI gate asserts on.
+        files, and per-trial span index the CI gate asserts on: each
+        closed trial's ``trial`` span, or for a batched trial the
+        ``trial_batch`` span it shares (:class:`repro.telemetry.TrialJoin`).
         """
         cid = request.params["campaign_id"]
         try:
             self.store.spec(cid)
         except UnknownCampaign:
             return self._unknown(request)
-        fleet = FleetTelemetry(self.store.telemetry_paths(cid))
-        fleet.poll()
+        sources = self.store.telemetry_paths(cid)
+        events = [event for path in sources
+                  for event in read_events(path)]
         fmt = (request.query.get("format") or ["chrome"])[0]
         if fmt == "events":
-            return json_response({"events": fleet.events})
+            return json_response({"events": events})
         if fmt == "summary":
             stored = self.store.trace(cid)
             return json_response({
                 "campaign_id": cid,
                 "trace_id": stored.trace_id if stored is not None else None,
-                "trace_ids_observed": sorted(fleet.trace_ids()),
-                "sources": fleet.sources,
-                "spans": len(fleet.spans()),
-                "trials": fleet.trial_span_ids(),
+                "trace_ids_observed": sorted(
+                    {event["trace_id"] for event in events
+                     if event.get("trace_id") is not None}),
+                "sources": sources,
+                "spans": sum(1 for event in events
+                             if event.get("type") == "span"),
+                "trials": TrialJoin().read(events).index(),
             })
         if fmt != "chrome":
             return error_response(
                 400, f"unknown format {fmt!r} (chrome, events, summary)")
-        return json_response(chrome_trace(fleet.events))
+        return json_response(chrome_trace(events))
 
     def cancel(self, request: Request) -> Response:
         try:

@@ -30,8 +30,9 @@ Observability: before opening its ``serve.plan``/``serve.shard`` spans a
 worker restores the campaign's submit-time trace context
 (``telemetry.trace_scope``) and tees every event into a per-shard JSONL
 under the campaign directory — so one campaign is one trace across every
-worker and host, mergeable after the fact by
-:mod:`repro.telemetry.fleet`.  The lease heartbeat doubles as the
+worker and host, read back as one after the fact (``GET
+/campaigns/{id}/trace`` reads every per-shard file through the shared
+trial join).  The lease heartbeat doubles as the
 worker's liveness beacon, publishing RSS/CPU resource samples plus
 claim/trial counters to ``<root>/workers/``.
 """
@@ -43,7 +44,7 @@ import os
 import time
 
 from .. import telemetry
-from ..experiments.runner import pool_size, run_campaign
+from ..experiments.runner import Journal, pool_size, run_campaign
 from .shards import Heartbeat, manifest_tasks
 from .store import CampaignStore
 
@@ -209,7 +210,7 @@ class ServeWorker:
         # context before the shard span opens, so this span — and the
         # trial/inject/train spans run_campaign and its forked children
         # emit inside it — all carry the campaign's trace id into the
-        # per-shard telemetry file the fleet merge reads back
+        # per-shard telemetry file the /trace endpoint reads back
         with telemetry.trace_scope(
                 self.store.trace(cid),
                 jsonl=self._telemetry_path(cid, shard_id)):
@@ -220,11 +221,16 @@ class ServeWorker:
                 # workers share the host, and each would hold a stack.
                 # Its chunks run on as many pool processes as the
                 # worker's CPU share and the free memory allow; the lease
-                # heartbeat pauses around each fork of that pool
+                # heartbeat pauses around each fork of that pool, sized
+                # by the trials the shard journal does not hold yet
                 batch_trials = spec.batch_trials or 1
+                journal = self.store.shard_journal_path(cid, shard_id)
+                journaled = Journal(journal).completed_ids()
                 result = run_campaign(
-                    tasks, workers=pool_size(tasks, batch_trials),
-                    journal=self.store.shard_journal_path(cid, shard_id),
+                    tasks, workers=pool_size(
+                        [t for t in tasks if t.trial_id not in journaled],
+                        batch_trials),
+                    journal=journal,
                     resume=True, **{**spec.runner_kwargs(),
                                     "batch_trials": batch_trials})
                 span.set(executed=result.stats.executed,

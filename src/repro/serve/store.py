@@ -32,9 +32,11 @@ import logging
 import os
 import re
 import time
+from dataclasses import asdict
 from typing import Iterator
 
 from .. import telemetry
+from ..analysis.campaign import CampaignStats
 from ..durable import Lease, lease_info, read_json, write_json
 from ..experiments.runner import Journal
 from ..telemetry import TraceContext
@@ -337,14 +339,19 @@ class CampaignStore:
         marker cannot exist without the journal record set that justified
         it, because the marker is written after the journal fsyncs).
         """
-        if os.path.exists(self._done_marker(cid, shard_id)):
-            return True
+        return os.path.exists(self._done_marker(cid, shard_id)) or \
+            self._covers(cid, shard_id, self._journal(cid, shard_id))
+
+    def _journal(self, cid: str, shard_id: str) -> list:
+        return Journal(self.shard_journal_path(cid, shard_id)).load()
+
+    def _covers(self, cid: str, shard_id: str, records: list) -> bool:
+        """Whether *records* (the shard's journal) cover its manifest;
+        marks the shard done when they do."""
         manifest = read_json(self._manifest_path(cid, shard_id))
         if manifest is None:
             return False
-        completed = Journal(
-            self.shard_journal_path(cid, shard_id)).completed_ids()
-        if set(manifest["trial_ids"]) <= completed:
+        if set(manifest["trial_ids"]) <= {r.trial_id for r in records}:
             self.mark_shard_done(cid, shard_id)
             return True
         return False
@@ -425,16 +432,20 @@ class CampaignStore:
 
     # -- rollups -----------------------------------------------------------
 
-    def _records(self, cid: str) -> list:
+    def _records(self, cid: str) -> tuple[list, set[str]]:
         """Every journaled record across the campaign's shards, deduped by
         trial id (first record wins; duplicates can only arise from a
         pathological double-claim and are bit-identical anyway), in plan
-        order."""
-        by_id = {}
+        order, and the shards whose journal covers their manifest.  Each
+        shard journal is read once."""
+        by_id, done = {}, set()
         for shard_id in self.shard_ids(cid):
-            journal = Journal(self.shard_journal_path(cid, shard_id))
-            for record in journal.load():
+            records = self._journal(cid, shard_id)
+            for record in records:
                 by_id.setdefault(record.trial_id, record)
+            if os.path.exists(self._done_marker(cid, shard_id)) or \
+                    self._covers(cid, shard_id, records):
+                done.add(shard_id)
         ordered = []
         for shard_id in self.shard_ids(cid):
             manifest = read_json(self._manifest_path(cid, shard_id))
@@ -444,31 +455,31 @@ class CampaignStore:
                 record = by_id.get(trial_id)
                 if record is not None:
                     ordered.append(record)
-        return ordered
+        return ordered, done
 
     def results(self, cid: str) -> Iterator[str]:
         """The campaign's journal records as JSONL lines, plan-ordered and
         deduped — what ``GET /campaigns/{id}/results`` streams."""
         self.spec(cid)  # raises UnknownCampaign
-        for record in self._records(cid):
+        for record in self._records(cid)[0]:
             yield record.to_json_line() + "\n"
 
     def status(self, cid: str) -> dict:
         """The progress rollup served by ``GET /campaigns/{id}``."""
+        return self._rollup(cid)[0]
+
+    def _rollup(self, cid: str) -> tuple[dict, set[str]]:
+        """:meth:`status` and the shards done, from one read of each shard
+        journal."""
         spec = self.spec(cid)
         state_doc = read_json(self._state_path(cid)) or {}
         coarse = state_doc.get("state", "queued")
         plan = self.plan(cid)
         shard_ids = self.shard_ids(cid)
-        done_shards = sum(1 for sid in shard_ids
-                          if self.shard_done(cid, sid))
-        records = self._records(cid)
-        ok = sum(1 for r in records if r.status == "ok")
-        failed = sum(1 for r in records if r.status == "failed")
-        outcomes: dict[str, int] = {}
-        for record in records:
-            label = record.outcome_class or "unclassified"
-            outcomes[label] = outcomes.get(label, 0) + 1
+        records, done = self._records(cid)
+        done_shards = len(done)
+        stats = CampaignStats.from_records(
+            (asdict(record) for record in records), wall_time=0.0)
         if coarse not in ("cancelled", "failed", "done"):
             if plan is None:
                 state = "queued"
@@ -488,17 +499,17 @@ class CampaignStore:
             "priority": spec.priority,
             "planned": plan is not None,
             "total": plan["total"] if plan is not None else None,
-            "done": ok + failed,
-            "ok": ok,
-            "failed": failed,
-            "outcomes": outcomes,
+            "done": stats.ok + stats.failed,
+            "ok": stats.ok,
+            "failed": stats.failed,
+            "outcomes": {**stats.outcomes, **stats.other_outcomes},
             "shards": {
                 "total": len(shard_ids),
                 "done": done_shards,
             },
             "trace_id": trace.trace_id if trace is not None else None,
             "error": state_doc.get("error"),
-        }
+        }, done
 
     # -- fleet aggregate ---------------------------------------------------
 
@@ -522,7 +533,7 @@ class CampaignStore:
         campaigns: list[CampaignFleetStatus] = []
         shards: list[ShardStatus] = []
         for cid in self.list_campaigns():
-            status = self.status(cid)
+            status, done = self._rollup(cid)
             submitted = self._submitted_at(cid)
             elapsed = (now - submitted) if submitted is not None else 0.0
             rate = status["done"] / elapsed if elapsed > 0 else 0.0
@@ -546,7 +557,7 @@ class CampaignStore:
             if status["state"] in ("done", "cancelled", "failed"):
                 continue
             for shard_id in self.shard_ids(cid):
-                if self.shard_done(cid, shard_id):
+                if shard_id in done:
                     shards.append(ShardStatus(cid, shard_id, "done"))
                     continue
                 lease = self._lease(cid, shard_id, "fleet-observer")
@@ -584,21 +595,22 @@ class CampaignStore:
 
     def fleet_prometheus(self, alert_totals: dict | None = None) -> str:
         """Store progress + fleet rollups as one exposition document."""
-        return self.prometheus() + fleet_prometheus(self.fleet_stats(),
-                                                    alert_totals)
+        return self.exposition(self.fleet_stats(), alert_totals)
 
     # -- metrics -----------------------------------------------------------
 
-    def prometheus(self) -> str:
-        """Prometheus exposition of store-wide campaign progress."""
-        statuses = [self.status(cid) for cid in self.list_campaigns()]
+    def exposition(self, stats: FleetStats,
+                   alert_totals: dict | None = None) -> str:
+        """Store-wide campaign progress and the ``repro_fleet_*`` rollups
+        of one :meth:`fleet_stats` snapshot, as one exposition document."""
+        campaigns = stats.campaigns
         lines = [
             "# HELP repro_serve_campaigns Campaigns per lifecycle state.",
             "# TYPE repro_serve_campaigns gauge",
         ]
         by_state = {state: 0 for state in STATES}
-        for status in statuses:
-            by_state[status["state"]] = by_state.get(status["state"], 0) + 1
+        for status in campaigns:
+            by_state[status.state] = by_state.get(status.state, 0) + 1
         for state in sorted(by_state):
             lines.append(prom_sample("repro_serve_campaigns",
                                      {"state": state}, by_state[state]))
@@ -607,35 +619,36 @@ class CampaignStore:
             "per campaign.",
             "# TYPE repro_serve_trials counter",
         ]
-        for status in statuses:
-            cid = status["campaign_id"]
+        for status in campaigns:
+            cid = status.campaign_id
             lines.append(prom_sample("repro_serve_trials",
                                      {"campaign": cid, "status": "ok"},
-                                     status["ok"]))
+                                     status.ok))
             lines.append(prom_sample("repro_serve_trials",
                                      {"campaign": cid, "status": "failed"},
-                                     status["failed"]))
+                                     status.failed))
         lines += [
             "# HELP repro_serve_outcomes Classified trial outcomes "
             "per campaign.",
             "# TYPE repro_serve_outcomes counter",
         ]
-        for status in statuses:
-            for outcome in sorted(status["outcomes"]):
+        for status in campaigns:
+            for outcome in sorted(status.outcomes):
                 lines.append(prom_sample(
                     "repro_serve_outcomes",
-                    {"campaign": status["campaign_id"], "outcome": outcome},
-                    status["outcomes"][outcome]))
+                    {"campaign": status.campaign_id, "outcome": outcome},
+                    status.outcomes[outcome]))
         lines += [
             "# HELP repro_serve_shards Shards per campaign by completion.",
             "# TYPE repro_serve_shards gauge",
         ]
-        for status in statuses:
-            cid = status["campaign_id"]
+        for status in campaigns:
+            cid = status.campaign_id
             lines.append(prom_sample("repro_serve_shards",
                                      {"campaign": cid, "state": "done"},
-                                     status["shards"]["done"]))
+                                     status.shards_done))
             lines.append(prom_sample(
                 "repro_serve_shards", {"campaign": cid, "state": "todo"},
-                status["shards"]["total"] - status["shards"]["done"]))
-        return "\n".join(lines) + "\n"
+                status.shards_total - status.shards_done))
+        return "\n".join(lines) + "\n" + fleet_prometheus(stats,
+                                                          alert_totals)

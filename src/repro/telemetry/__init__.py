@@ -22,23 +22,30 @@ the repo a single shared notion of *what happened when*:
   (:func:`prometheus_exposition`) or a Chrome ``trace_event`` flamegraph
   (:func:`chrome_trace`); :class:`CampaignTelemetry` renders the
   human-readable campaign breakdown behind ``repro-experiments telemetry``.
+* **The trial join** (:class:`TrialJoin`): an event belongs to the trial
+  its ``trial_id`` attribute names (:func:`trial_of`), and to none
+  without one; every reader of trials — the report, the atlas ingest,
+  :mod:`repro.analysis.propagation`, the serve ``/trace`` index — folds
+  a stream through it.
 
 Telemetry is **off unless configured** — every hook is a ``None`` check —
 and it is timing-only: enabling it never draws randomness or touches file
 bytes, so instrumented campaigns stay bit-identical to bare ones.
 
 Beyond one process tree, :class:`TraceContext` + :func:`trace_scope`
-propagate a trace identity across HTTP/process/host boundaries, and
-:mod:`repro.telemetry.fleet` merges the per-shard streams fleet workers
-write back into one campaign-level view (:class:`FleetTelemetry`,
-:class:`FleetStats`, alert rules, fleet Prometheus exposition).
+propagate a trace identity across HTTP/process/host boundaries; a
+campaign's per-shard streams read back as one with :func:`read_events`
+over each file, and :mod:`repro.telemetry.fleet` holds the fleet rollups
+(:class:`FleetStats`, alert rules, fleet Prometheus exposition).
 
 See ``docs/observability.md`` for the event schema and span semantics.
 """
 
 from .aggregate import (
     CampaignTelemetry,
+    FlipSummary,
     PhaseStat,
+    TrialJoin,
     TrialSummary,
     decode_events,
     emit_flips,
@@ -46,6 +53,8 @@ from .aggregate import (
     load_events,
     merge_metrics,
     read_events,
+    trial_events,
+    trial_of,
 )
 from .core import (
     NOOP_SPAN,
@@ -80,12 +89,10 @@ from .fleet import (
     CampaignFleetStatus,
     DEFAULT_ALERT_RULES,
     FleetStats,
-    FleetTelemetry,
     ShardStatus,
     WorkerStatus,
     evaluate_alerts,
     fleet_prometheus,
-    merge_campaign_events,
 )
 from .metrics import DEFAULT_BUCKETS, Histogram, Registry
 from .sinks import FanoutSink, InMemorySink, JsonlSink, NullSink, Sink
@@ -98,8 +105,8 @@ __all__ = [
     "DEFAULT_ALERT_RULES",
     "DEFAULT_BUCKETS",
     "FanoutSink",
+    "FlipSummary",
     "FleetStats",
-    "FleetTelemetry",
     "Histogram",
     "InMemorySink",
     "JsonlSink",
@@ -113,6 +120,7 @@ __all__ = [
     "Sink",
     "Span",
     "TraceContext",
+    "TrialJoin",
     "TrialSummary",
     "VERBOSITY_LEVELS",
     "WorkerStatus",
@@ -134,7 +142,6 @@ __all__ = [
     "gauge",
     "hostname",
     "load_events",
-    "merge_campaign_events",
     "merge_metrics",
     "new_trace_id",
     "observe",
@@ -148,4 +155,6 @@ __all__ = [
     "start_span",
     "tag_scope",
     "trace_scope",
+    "trial_events",
+    "trial_of",
 ]

@@ -18,13 +18,23 @@ columns as written instead (one parsed line per trial, not one event per
 flip).  :func:`final_attempt` drops the events of attempts the runner
 superseded.
 
+Which trial an event belongs to is decided here, once, for every reader:
+by its ``trial_id`` attribute (:func:`trial_of`), which the runner writes
+on each ``trial`` span and the flip trial body and the trainer stamp on
+each trial's ``inject`` spans, ``flips`` events and ``epoch`` events; an
+event without one belongs to no trial.  :class:`TrialJoin` folds a stream
+into one running result per trial, its last attempt's, as the stream is
+read.  It backs :meth:`CampaignTelemetry.trials`, the atlas ingest's flip
+summaries, the per-trial filters of :mod:`repro.analysis.propagation`
+(:func:`trial_events`) and the serve ``/trace`` index.
+
 Metric merging rules (the counterpart of the registry's flush semantics):
 snapshots are cumulative per process, so the aggregator keeps the **last**
 snapshot per ``(host, pid, name)`` and sums across processes.  Counters
 and histogram bucket counts add; gauges keep the most recent value.  The
-host component matters once fleet merging (:mod:`repro.telemetry.fleet`)
-concatenates streams from workers on different machines, where two
-unrelated processes can share a pid.
+host component matters once a campaign's per-shard streams from workers
+on different machines are read as one, where two unrelated processes can
+share a pid.
 """
 
 from __future__ import annotations
@@ -190,9 +200,68 @@ class PhaseStat:
         return self.total_seconds / self.count if self.count else 0.0
 
 
+class FlipSummary:
+    """What a trial's flips add up to: how many there were (``len()``)
+    and the distinct layers, bits and precisions they hit."""
+
+    __slots__ = ("count", "layers", "bits", "precisions")
+
+    def __init__(self):
+        self.count = 0
+        self.layers: set[str] = set()
+        self.bits: set[int] = set()
+        self.precisions: set[int] = set()
+
+    def __len__(self) -> int:
+        return self.count
+
+    def add(self, locations, bits, precisions) -> None:
+        """Fold in a run of flips given as equal-length columns."""
+        self.count += len(locations)
+        self.layers.update(str(location or "?") for location in set(locations))
+        self.bits.update(int(bit) for bit in set(bits) if bit is not None)
+        self.precisions.update(int(precision) for precision in set(precisions)
+                               if precision is not None)
+
+    def add_event(self, event: dict) -> None:
+        """Fold in a ``flips`` event's columns (never expanded) or one
+        decoded ``flip`` event."""
+        attrs = event.get("attrs") or {}
+        if event.get("name") == "flips":
+            width = min(len(attrs.get(column, ())) for column in FLIP_COLUMNS)
+            self.add(*(attrs.get(column, ())[:width]
+                       for column in ("location", "bit_msb", "precision")))
+        else:
+            self.add([attrs.get("location")], [attrs.get("bit_msb")],
+                     [attrs.get("precision")])
+
+    @classmethod
+    def of(cls, flips: list[dict]) -> "FlipSummary":
+        """The summary of decoded ``flip`` event attrs."""
+        summary = cls()
+        summary.add([flip.get("location") for flip in flips],
+                    [flip.get("bit_msb") for flip in flips],
+                    [flip.get("precision") for flip in flips])
+        return summary
+
+
+def trial_of(event: dict) -> str | None:
+    """The trial *event* belongs to: its ``trial_id`` attribute, else
+    none."""
+    trial_id = (event.get("attrs") or {}).get("trial_id")
+    return None if trial_id is None else str(trial_id)
+
+
+def trial_events(events, trial_id: str) -> list[dict]:
+    """The events of *trial_id*'s last attempt, in stream order."""
+    return final_attempt([event for event in events
+                          if trial_of(event) == trial_id])
+
+
 @dataclass
 class TrialSummary:
-    """One trial span joined with its nested inject/train children."""
+    """One trial's row: the span that timed it joined with what its last
+    attempt's ``inject`` spans and ``epoch`` events add up to."""
 
     trial_id: str
     span_id: str
@@ -207,6 +276,135 @@ class TrialSummary:
     final_accuracy: float | None = None
     collapsed: bool | None = None
     epochs: int | None = None
+
+
+class _Trial:
+    """One trial's running result while a stream is read."""
+
+    __slots__ = ("span", "position", "attempt", "parents", "flips",
+                 "successes", "nev", "epochs", "collapsed", "accuracy")
+
+    def __init__(self):
+        self.span: dict | None = None  # its closed ``trial`` span
+        self.position = 0  # where that span closed in the stream
+        self.attempt = None
+        self._restart()
+
+    def _restart(self) -> None:
+        self.parents: set = set()  # spans its stamped spans opened under
+        self.flips = FlipSummary()
+        self.successes = self.nev = self.epochs = self.collapsed = None
+        self.accuracy = None
+
+    def add(self, event: dict, position: int) -> None:
+        attrs = event.get("attrs") or {}
+        kind, name = event.get("type"), event.get("name")
+        if kind == "span" and name == "trial":
+            self.span, self.position = event, position
+            return
+        attempt = attrs.get("attempt_id")
+        if attempt is not None and attempt != self.attempt:
+            if self.attempt is not None:
+                self._restart()  # the runner ran the trial again
+            self.attempt = attempt
+        if kind == "span":
+            if event.get("parent_id") is not None:
+                self.parents.add(event["parent_id"])
+            if name == "inject":
+                self.successes = (self.successes or 0) + int(
+                    attrs.get("successes", 0))
+                self.nev = (self.nev or 0) + int(
+                    attrs.get("nev_introduced", 0))
+        elif kind == "event" and name in ("flips", "flip"):
+            self.flips.add_event(event)
+        elif kind == "event" and name == "epoch":
+            self.epochs = (self.epochs or 0) + 1
+            self.collapsed = bool(self.collapsed) or bool(
+                attrs.get("collapsed"))
+            if attrs.get("test_accuracy") is not None:
+                self.accuracy = attrs["test_accuracy"]
+
+
+class TrialJoin:
+    """Every trial of a stream, by :func:`trial_of`, folded to its last
+    attempt while the stream is read.
+
+    It keeps one running result per trial and each ``trial_batch`` span,
+    never the events.  A trial the runner ran again (a retry, or a failed
+    chunk's fallback) restarts its result at the first event of each new
+    ``attempt_id``.  A trial is *closed* once the span that timed it is
+    in the stream: its ``trial`` span, or the ``trial_batch`` span its
+    stamped spans opened under, whose wall time it gets an even share of,
+    as its journal record does.
+    """
+
+    def __init__(self):
+        self._trials: dict[str, _Trial] = {}
+        self._batches: dict[str, tuple[int, dict]] = {}
+        self._position = 0
+
+    def add(self, event: dict) -> None:
+        self._position += 1
+        if event.get("type") == "span" and event.get("name") == "trial_batch":
+            self._batches[event.get("span_id")] = (self._position, event)
+            return
+        trial_id = trial_of(event)
+        if trial_id is not None:
+            self._trials.setdefault(trial_id, _Trial()).add(
+                event, self._position)
+
+    def read(self, events) -> "TrialJoin":
+        for event in events:
+            self.add(event)
+        return self
+
+    def flips(self) -> dict[str, FlipSummary]:
+        """Each trial's flips, for the trials that have any."""
+        return {trial_id: trial.flips
+                for trial_id, trial in self._trials.items()
+                if trial.flips.count}
+
+    def split_span_ids(self) -> set[str]:
+        """The ``trial_batch`` spans whose time is split over trials."""
+        return set(self._batches)
+
+    def summaries(self) -> list[TrialSummary]:
+        """A row per closed trial, in the order their spans closed."""
+        rows = []
+        for trial_id, trial in self._trials.items():
+            if trial.span is not None:
+                span, position = trial.span, trial.position
+                attrs = span.get("attrs") or {}
+                row = TrialSummary(
+                    trial_id=trial_id, span_id=span.get("span_id", ""),
+                    status=span.get("status", "?"),
+                    duration=float(span.get("dur", 0.0)),
+                    queue_wait=attrs.get("queue_wait"),
+                    run_time=attrs.get("run_time"),
+                    worker=attrs.get("worker"),
+                    attempts=attrs.get("attempts"))
+            else:
+                batch = next((self._batches[parent] for parent
+                              in sorted(trial.parents, key=str)
+                              if parent in self._batches), None)
+                if batch is None:
+                    continue  # still running, or its chunk span was lost
+                position, span = batch
+                size = max(1, int((span.get("attrs") or {}).get("size") or 1))
+                row = TrialSummary(
+                    trial_id=trial_id, span_id=span.get("span_id", ""),
+                    status=span.get("status", "?"),
+                    duration=float(span.get("dur", 0.0)) / size)
+            row.flips, row.nev_introduced = trial.successes, trial.nev
+            row.final_accuracy, row.collapsed = trial.accuracy, trial.collapsed
+            row.epochs = trial.epochs
+            rows.append((position, row))
+        rows.sort(key=lambda pair: pair[0])
+        return [row for _, row in rows]
+
+    def index(self) -> dict[str, str]:
+        """``{trial_id: span_id}`` of every closed trial's timing span."""
+        return {row.trial_id: row.span_id for row in self.summaries()}
 
 
 @dataclass
@@ -238,61 +436,9 @@ class CampaignTelemetry:
                       reverse=True)
 
     # -- trial correlation ---------------------------------------------------
-    def _descendants(self) -> dict[str, list[dict]]:
-        children: dict[str, list[dict]] = {}
-        for span in self.spans:
-            parent = span.get("parent_id")
-            if parent:
-                children.setdefault(parent, []).append(span)
-        return children
-
     def trials(self) -> list[TrialSummary]:
-        """Trial spans joined to their nested inject and train spans.
-
-        The join walks the span tree (not just direct children), so a
-        harness that wraps injection in intermediate spans still correlates.
-        A retried trial keeps one ``trial`` span across its attempts; only
-        its last attempt's spans count (:func:`final_attempt`), so its
-        flips are counted once.
-        """
-        children = self._descendants()
-        position = {span.get("span_id"): pos
-                    for pos, span in enumerate(self.spans)}
-        out: list[TrialSummary] = []
-        for span in self.spans:
-            if span.get("name") != "trial":
-                continue
-            attrs = span.get("attrs", {})
-            summary = TrialSummary(
-                trial_id=attrs.get("trial_id", "?"),
-                span_id=span.get("span_id", ""),
-                status=span.get("status", "?"),
-                duration=float(span.get("dur", 0.0)),
-                queue_wait=attrs.get("queue_wait"),
-                run_time=attrs.get("run_time"),
-                worker=attrs.get("worker"),
-                attempts=attrs.get("attempts"),
-            )
-            below, stack = [], list(children.get(summary.span_id, ()))
-            while stack:
-                child = stack.pop()
-                below.append(child)
-                stack.extend(children.get(child.get("span_id", ""), ()))
-            below.sort(key=lambda child: position[child.get("span_id")])
-            for child in final_attempt(below):
-                cattrs = child.get("attrs", {})
-                if child.get("name") == "inject":
-                    summary.flips = (summary.flips or 0) + int(
-                        cattrs.get("successes", 0))
-                    summary.nev_introduced = (summary.nev_introduced or 0) \
-                        + int(cattrs.get("nev_introduced", 0))
-                elif child.get("name") == "train":
-                    summary.final_accuracy = cattrs.get("final_accuracy")
-                    summary.collapsed = cattrs.get("collapsed")
-                    summary.epochs = cattrs.get("epochs_run",
-                                                cattrs.get("epochs"))
-            out.append(summary)
-        return out
+        """Every closed trial of the stream (:class:`TrialJoin`)."""
+        return TrialJoin().read(self.events).summaries()
 
     def closed_trial_ids(self) -> set[str]:
         return {t.trial_id for t in self.trials()}
@@ -331,15 +477,18 @@ class CampaignTelemetry:
         lines.append(f"{flips} flips in {seconds:.3f}s of inject spans "
                      f"({rate:.1f} flips/s)")
 
-        trials = self.trials()
+        join = TrialJoin().read(self.events)
+        trials, batches = join.summaries(), join.split_span_ids()
         lines.append("")
         lines.append(f"== slowest trials (top {top}) ==")
         for trial in sorted(trials, key=lambda t: t.duration,
                             reverse=True)[:top]:
             wait = (f" wait={trial.queue_wait:.3f}s"
                     if trial.queue_wait is not None else "")
+            split = (" (split of trial_batch)" if trial.span_id in batches
+                     else "")
             lines.append(f"{trial.duration:9.3f}s  {trial.status:6s} "
-                         f"{trial.trial_id}{wait}")
+                         f"{trial.trial_id}{wait}{split}")
         if not trials:
             lines.append("(no trial spans recorded)")
 

@@ -1,16 +1,14 @@
-"""Fleet-level telemetry: merge per-shard streams, aggregate, alert.
+"""Fleet-level rollups: campaign and worker status, alerts, exposition.
 
-The serve layer (PR 7) scattered a campaign's execution across N workers,
-each journalling and (since this PR) emitting telemetry into its own
-per-shard JSONL file under the campaign directory.  This module is the
-read side that makes the fleet legible again:
+The serve layer scatters a campaign's execution across N workers, each
+journalling and emitting telemetry into its own per-shard JSONL file
+under the campaign directory.  A campaign's streams are read back as one
+with :func:`repro.telemetry.read_events` over each file in turn: events
+are host- and pid-stamped at emit time, so the exporters
+(``chrome_trace`` gets one track per ``(host, pid)``; ``merge_metrics``
+keys on ``(host, pid, name)``) and the trial join need no further
+disambiguation.  This module holds the rest of the fleet's read side:
 
-* :class:`FleetTelemetry` — an offset-resumable merge over any number of
-  per-shard telemetry files.  Events are already host- and pid-stamped at
-  emit time, so the merged stream feeds the ordinary exporters
-  (``chrome_trace`` gets one track per ``(host, pid)``; ``merge_metrics``
-  keys on ``(host, pid, name)``) without further disambiguation.  Each
-  file is tailed by :class:`repro.durable.JsonlTail`.
 * :class:`FleetStats` and friends — the plain-data aggregate the store
   builds from filesystem state (campaign rollups, worker heartbeat
   resource samples, shard lease ages) and the fleet console renders.
@@ -28,68 +26,10 @@ dependency arrow pointing at telemetry as everywhere else in the repo.
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
-from ..durable import JsonlTail
 from .export import prom_sample
-
-
-class FleetTelemetry:
-    """Offset-resumable merge of many per-shard telemetry JSONL files.
-
-    Sources can be added at any time (new shards appear while a campaign
-    runs); :meth:`poll` drains every tail and accumulates the union in
-    :attr:`events`.  Merge order is per-file append order — good enough
-    for the exporters, which sort or bucket by timestamp themselves.
-    """
-
-    def __init__(self, paths: list[str] | None = None):
-        self._tails: dict[str, JsonlTail] = {}
-        self.events: list[dict] = []
-        for path in paths or []:
-            self.add_source(path)
-
-    def add_source(self, path: str) -> None:
-        path = os.fspath(path)
-        if path not in self._tails:
-            self._tails[path] = JsonlTail(path)
-
-    @property
-    def sources(self) -> list[str]:
-        return sorted(self._tails)
-
-    def poll(self) -> list[dict]:
-        """Ingest newly appended events from every source; returns them."""
-        fresh: list[dict] = []
-        for path in sorted(self._tails):
-            fresh.extend(self._tails[path].poll())
-        self.events.extend(fresh)
-        return fresh
-
-    # -- views over the merged stream --------------------------------------
-
-    def spans(self, name: str | None = None) -> list[dict]:
-        out = [e for e in self.events if e.get("type") == "span"]
-        if name is not None:
-            out = [e for e in out if e.get("name") == name]
-        return out
-
-    def trace_ids(self) -> set[str]:
-        """Distinct trace ids across the merged stream — one well-formed
-        campaign merge yields exactly one."""
-        return {e["trace_id"] for e in self.events
-                if e.get("trace_id") is not None}
-
-    def trial_span_ids(self) -> dict[str, str]:
-        """``{trial_id: span_id}`` for every closed trial span."""
-        out: dict[str, str] = {}
-        for span in self.spans("trial"):
-            trial_id = (span.get("attrs") or {}).get("trial_id")
-            if trial_id is not None:
-                out[str(trial_id)] = span.get("span_id", "")
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -472,23 +412,14 @@ def fleet_prometheus(stats: FleetStats,
     return "\n".join(lines) + "\n"
 
 
-def merge_campaign_events(paths: list[str]) -> list[dict]:
-    """One-shot merge of a campaign's per-shard telemetry files."""
-    fleet = FleetTelemetry(paths)
-    fleet.poll()
-    return fleet.events
-
-
 __all__ = [
     "Alert",
     "AlertRule",
     "CampaignFleetStatus",
     "DEFAULT_ALERT_RULES",
     "FleetStats",
-    "FleetTelemetry",
     "ShardStatus",
     "WorkerStatus",
     "evaluate_alerts",
     "fleet_prometheus",
-    "merge_campaign_events",
 ]

@@ -201,10 +201,13 @@ class TestOutcomeHistogram:
         stats = CampaignStats.from_records(records, wall_time=1.0)
         assert stats.outcomes == {"masked": 2, "degraded": 1, "crashed": 1}
 
-    def test_unstamped_records_absent_from_histogram(self):
-        stats = CampaignStats.from_records([_record()], wall_time=1.0)
-        assert stats.outcomes == {}
-        assert "outcomes:" not in stats.summary()
+    def test_unstamped_records_take_the_label_rule(self):
+        # no outcome_class: classify_trial_record(status, outcome) labels it
+        records = [_record(), _record(outcome={"finals": [0.5]}),
+                   _record(status="failed")]
+        stats = CampaignStats.from_records(records, wall_time=1.0)
+        assert stats.outcomes == {"crashed": 2, "masked": 1}
+        assert "outcomes: masked=1, crashed=2" in stats.summary()
 
     def test_summary_orders_by_severity(self):
         records = [

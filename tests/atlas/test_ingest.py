@@ -70,7 +70,8 @@ class TestFlipJoin:
         assert set(grouped) == {"trial/1", "trial/2"}
         assert len(grouped["trial/1"]) == 2
 
-    def test_span_chain_fallback_for_legacy_streams(self):
+    def test_unstamped_flip_under_a_trial_span_belongs_to_no_trial(self):
+        # the trial_id attribute alone decides: no span parents are walked
         events = [
             {"type": "span", "name": "trial", "span_id": "s1",
              "parent_id": None, "attrs": {"trial_id": "trial/9"}},
@@ -78,8 +79,15 @@ class TestFlipJoin:
              "parent_id": "s1", "attrs": {}},
             flip_event("ignored", stamped=False, span_id="s2"),
         ]
-        grouped = flips_by_trial(events)
-        assert list(grouped) == ["trial/9"]
+        assert flips_by_trial(events) == {}
+
+    def test_last_attempt_flips_only(self):
+        first = flip_event("trial/1", bit_msb=3)
+        first["attrs"]["attempt_id"] = "a.1"
+        retry = flip_event("trial/1", bit_msb=5)
+        retry["attrs"]["attempt_id"] = "a.2"
+        (summary,) = flips_by_trial([first, retry]).values()
+        assert len(summary) == 1 and summary.bits == {5}
 
     def test_unattributable_flip_dropped(self):
         assert flips_by_trial([flip_event("x", stamped=False)]) == {}
@@ -234,8 +242,9 @@ class TestColumnarIngest:
     def test_flips_lines_and_per_flip_lines_ingest_alike(self, tmp_path):
         """The same flips written as one ``flips`` line per injection and
         as the per-flip ``flip`` lines of older streams fold to the same
-        store: stamped, found through the span chain, and a retried trial
-        whose last attempt counts."""
+        store: stamped, a retried trial whose last attempt counts, and
+        unstamped flips, which belong to no trial even inside a trial
+        span."""
         events = [
             packed_flips("trial/0", ["conv0/W"], [3], attempt_id="a.1"),
             packed_flips("trial/1", ["conv0/W", "conv1/W", "fc/b"],
@@ -245,7 +254,7 @@ class TestColumnarIngest:
             packed_flips("trial/2", ["conv1/W", "conv2/W", "fc/W"],
                          [0, 5, 6], attempt_id="a.3"),
             packed_flips("trial/2", ["fc/W"], [4], attempt_id="a.4"),
-            # unstamped: attributed through inject.apply -> trial/3
+            # unstamped: no trial, though it ran inside trial/3's span
             packed_flips(None, ["conv2/W"], [2], span_id="s2"),
             {"type": "span", "name": "inject.apply", "span_id": "s2",
              "parent_id": "s1", "attrs": {}},
@@ -275,7 +284,7 @@ class TestColumnarIngest:
         assert joined["trial/0"] == ("single", "conv0/W", 3)
         assert joined["trial/1"] == ("multi", "(multi)", MULTI)
         assert joined["trial/2"] == ("single", "fc/W", 4)
-        assert joined["trial/3"] == ("single", "conv2/W", 2)
+        assert joined["trial/3"] == ("single", "?", UNKNOWN)
         assert joined["trial/4"] == ("single", "?", UNKNOWN)
 
     def test_ingest_memory_is_per_trial_not_per_flip(self, tmp_path):

@@ -103,7 +103,8 @@ class TestCampaignWatch:
         old_failed = {"trial_id": "b", "status": "failed", "outcome": None}
         write_journal(path, [old_ok, old_failed])
         snapshot = CampaignWatch(str(path)).poll()
-        assert snapshot.outcomes == {"unclassified": 1, "crashed": 1}
+        # the label rule: classify_trial_record(status, outcome)
+        assert snapshot.outcomes == {"masked": 1, "crashed": 1}
 
     def test_total_from_campaign_span(self, tmp_path):
         journal = tmp_path / "j.jsonl"

@@ -26,10 +26,20 @@ from repro.serve.client import ServeClient
 from repro.serve.scheduler import ServeWorker, run_worker
 from repro.serve.spec import CampaignSpec
 from repro.serve.store import CampaignStore
-from repro.telemetry import TraceContext
-from repro.telemetry.fleet import FleetTelemetry
+from repro.telemetry import TraceContext, TrialJoin, read_events
 
 from . import kinds  # noqa: F401  (registers the serve_* kinds)
+
+
+def campaign_events(store, cid):
+    """Every event of the campaign's per-shard telemetry streams."""
+    return [event for path in store.telemetry_paths(cid)
+            for event in read_events(path)]
+
+
+def trace_ids(store, cid):
+    return {event["trace_id"] for event in campaign_events(store, cid)
+            if event.get("trace_id") is not None}
 
 
 def wait_for(predicate, timeout=60.0, interval=0.02):
@@ -98,9 +108,7 @@ class TestDistributedTrace:
         stamped = store.trace(cid)
         assert stamped is not None  # store mints when the client didn't
         ServeWorker(store, owner="w", poll=0.01).run(drain=True)
-        fleet = FleetTelemetry(store.telemetry_paths(cid))
-        fleet.poll()
-        assert fleet.trace_ids() == {stamped.trace_id}
+        assert trace_ids(store, cid) == {stamped.trace_id}
 
     def test_kill_nine_survivor_joins_same_trace(self, tmp_path):
         """A worker SIGKILLed mid-shard must not fork the trace: the
@@ -131,10 +139,8 @@ class TestDistributedTrace:
             rescuer.run(drain=True)
             time.sleep(0.05)
 
-        fleet = FleetTelemetry(store.telemetry_paths(cid))
-        fleet.poll()
-        assert fleet.trace_ids() == {trace.trace_id}
-        trial_ids = set(fleet.trial_span_ids())
+        assert trace_ids(store, cid) == {trace.trace_id}
+        trial_ids = set(TrialJoin().read(campaign_events(store, cid)).index())
         # the rescuer's shard re-run re-traced every trial it executed
         assert {f"serve_hold/1/{i}" for i in range(1, 4)} <= trial_ids
 
@@ -228,6 +234,34 @@ class TestFleetWatch:
         assert 'repro_fleet_alerts_total{rule="lease-expired"} 1' in text
         assert "repro_fleet_queue_depth" in text
         assert "repro_serve_campaigns" in text  # store half prepended
+
+    def test_one_scrape_reads_each_shard_journal_once(self, tmp_path,
+                                                       monkeypatch):
+        """A drained campaign and a planned one, two shards each: the
+        store's ``/metrics`` document and the fleet console's both build
+        their progress and fleet rollups from one read per journal."""
+        store = CampaignStore(str(tmp_path / "root"), shard_size=2)
+        drained = store.submit(CampaignSpec(kind="serve_echo", seed=3,
+                                            params={"count": 4}))
+        ServeWorker(store, owner="w", poll=0.01).run(drain=True)
+        planned = store.submit(CampaignSpec(kind="serve_echo", seed=4,
+                                            params={"count": 4}))
+        store.build_plan(planned)
+        journals = sorted(store.shard_journal_path(cid, sid)
+                          for cid in (drained, planned)
+                          for sid in store.shard_ids(cid))
+        assert len(journals) == 4
+        loads = []
+        load = Journal.load
+        monkeypatch.setattr(Journal, "load",
+                            lambda self: loads.append(self.path)
+                            or load(self))
+        for scrape in (store.fleet_prometheus, FleetWatch(store).prometheus):
+            loads.clear()
+            text = scrape()
+            assert sorted(loads) == journals
+            assert f'repro_serve_trials{{campaign="{drained}",' \
+                   f'status="ok"}} 4' in text
 
     def test_accepts_root_path(self, tmp_path):
         store, _, _ = self._expired_lease_store(tmp_path)

@@ -20,14 +20,24 @@ from repro.serve import scheduler, shards
 from repro.serve.scheduler import ServeWorker, run_worker
 from repro.serve.spec import CampaignSpec
 from repro.serve.store import CampaignStore
-from repro.telemetry import TraceContext
-from repro.telemetry.fleet import FleetTelemetry
+from repro.telemetry import TraceContext, TrialJoin, read_events
 
 from . import kinds  # noqa: F401  (registers the serve_* kinds)
 
 # a fork that meets a live thread fails the test on interpreters that warn
 pytestmark = pytest.mark.filterwarnings(
     "error:This process:DeprecationWarning")
+
+
+def campaign_events(store, cid):
+    """Every event of the campaign's per-shard telemetry streams."""
+    return [event for path in store.telemetry_paths(cid)
+            for event in read_events(path)]
+
+
+def campaign_spans(events):
+    return [event for event in events if event.get("type") == "span"
+            and event.get("name") == "campaign"]
 
 
 def wait_for(predicate, timeout=60.0, interval=0.02):
@@ -116,13 +126,12 @@ def test_pooled_drain_journals_in_process_outcomes(tmp_path, cpu_share,
         cid = store.submit(fig3_spec())
         ServeWorker(store, owner="w", poll=0.01).run(drain=True)
         records = [json.loads(line) for line in store.results(cid)]
-        fleet = FleetTelemetry(store.telemetry_paths(cid))
-        fleet.poll()
+        events = campaign_events(store, cid)
         widths = [span["attrs"]["workers"]
-                  for span in fleet.spans("campaign")]
+                  for span in campaign_spans(events)]
         assert widths == [share]
         assert {r["trial_id"] for r in records} <= set(
-            fleet.trial_span_ids())
+            TrialJoin().read(events).index())
         drained[share] = records
     assert len(drained[1]) == 4
     for record in (*drained[1], *drained[2]):
@@ -227,10 +236,16 @@ def test_kill_nine_pooled_worker_is_rescued_and_traced(tmp_path, cpu_share,
     assert sorted(journaled) == [f"serve_pool/1/{i}" for i in range(4)]
     executed = sorted(int(value) for value in marker.read_text().split())
     assert executed == list(range(4))  # trial 1 ran once, in the rescuer
-    fleet = FleetTelemetry(store.telemetry_paths(cid))
-    fleet.poll()
-    assert fleet.trace_ids() == {trace.trace_id}
-    assert set(journaled) <= set(fleet.trial_span_ids())
+    events = campaign_events(store, cid)
+    assert {event["trace_id"] for event in events
+            if event.get("trace_id") is not None} == {trace.trace_id}
+    assert set(journaled) <= set(TrialJoin().read(events).index())
+    # the rescuer sized its pool by the one trial its journal lacked: a
+    # second process would have idled for the trial's whole run
+    rescued = campaign_events(store, cid)
+    rescued = [span for span in campaign_spans(rescued)
+               if span["attrs"].get("skipped") == 3]
+    assert [span["attrs"]["workers"] for span in rescued] == [1]
     assert_no_fork_met_a_heartbeat(forks())
 
 

@@ -131,15 +131,25 @@ def _campaign_events():
               trial_id="t/0", queue_wait=0.5),
         # worker-side spans adopt the trial span as remote parent
         _span("inject", "c.1", parent_id="p.2", dur=1.0,
-              successes=10, nev_introduced=2),
+              successes=10, nev_introduced=2, trial_id="t/0"),
+        *(_epoch("t/0", epoch, accuracy) for epoch, accuracy
+          in ((1, 0.4), (2, 0.61), (3, None))),
         _span("train", "c.2", parent_id="p.2", dur=2.5,
               final_accuracy=0.61, collapsed=False, epochs_run=3),
         _span("trial", "p.3", parent_id="p.1", dur=6.0, trial_id="t/1"),
-        _span("inject", "c.3", parent_id="p.3", dur=2.0, successes=100),
+        _span("inject", "c.3", parent_id="p.3", dur=2.0, successes=100,
+              trial_id="t/1"),
+        _epoch("t/1", 1, None, collapsed=True),
         _span("train", "c.4", parent_id="p.3", dur=3.0,
               final_accuracy=float("nan"), collapsed=True, epochs_run=1),
         _metric("runner.trials_ok", 2),
     ]
+
+
+def _epoch(trial_id, epoch, accuracy, collapsed=False):
+    return {"type": "event", "name": "epoch", "pid": 1, "ts": 0.0,
+            "attrs": {"trial_id": trial_id, "epoch": epoch,
+                      "test_accuracy": accuracy, "collapsed": collapsed}}
 
 
 def test_trials_join_nested_inject_and_train():
@@ -156,14 +166,49 @@ def test_trials_join_nested_inject_and_train():
     assert summary.closed_trial_ids() == {"t/0", "t/1"}
 
 
-def test_trials_join_walks_intermediate_spans():
+def test_trials_join_keys_on_trial_id_not_span_nesting():
     events = [
         _span("trial", "p.2", dur=4.0, trial_id="t/0"),
         _span("wrapper", "w.1", parent_id="p.2", dur=3.0),
-        _span("inject", "c.1", parent_id="w.1", dur=1.0, successes=7),
+        _span("inject", "c.1", parent_id="w.1", dur=1.0, successes=7,
+              trial_id="t/0"),
+        # nested in t/0's span, but stamped with no trial: counts for none
+        _span("inject", "c.2", parent_id="p.2", dur=1.0, successes=5),
     ]
     (trial,) = CampaignTelemetry(events).trials()
     assert trial.flips == 7
+
+
+def test_batched_trials_split_their_chunk_span():
+    events = [
+        _span("inject", "c.1", parent_id="b.1", successes=1, trial_id="t/0",
+              attempt_id="a.1"),
+        _span("inject", "c.2", parent_id="b.1", successes=2, trial_id="t/1",
+              attempt_id="a.1"),
+        _epoch("t/0", 1, 0.5),
+        _epoch("t/1", 1, 0.25),
+        _span("trial_batch", "b.1", dur=3.0, size=2),
+    ]
+    summary = CampaignTelemetry(events)
+    rows = {t.trial_id: t for t in summary.trials()}
+    assert set(rows) == {"t/0", "t/1"}
+    assert rows["t/1"].duration == 1.5 and rows["t/1"].span_id == "b.1"
+    assert (rows["t/1"].flips, rows["t/1"].final_accuracy,
+            rows["t/1"].epochs, rows["t/1"].status) == (2, 0.25, 1, "ok")
+    assert "t/0 (split of trial_batch)" in summary.render()
+
+
+def test_retried_trial_counts_its_last_attempt():
+    events = [
+        _span("inject", "c.1", parent_id="p.1", successes=4, trial_id="t/0",
+              attempt_id="a.1"),
+        _epoch("t/0", 1, 0.1),
+        _span("inject", "c.2", parent_id="p.1", successes=1, trial_id="t/0",
+              attempt_id="a.2"),
+        _span("trial", "p.1", dur=2.0, trial_id="t/0", attempts=2),
+    ]
+    (trial,) = CampaignTelemetry(events).trials()
+    assert (trial.flips, trial.epochs, trial.attempts) == (1, None, 2)
 
 
 def test_phases_sorted_by_total_time():
@@ -205,7 +250,8 @@ def test_render_empty_stream():
 def test_from_file_round_trip(tmp_path):
     path = tmp_path / "events.jsonl"
     telemetry.configure(jsonl=str(path))
-    with telemetry.span("trial", trial_id="t/9"):
+    with telemetry.span("trial", trial_id="t/9"), \
+            telemetry.tag_scope(trial_id="t/9"):
         with telemetry.span("inject", successes=1):
             pass
     telemetry.shutdown()

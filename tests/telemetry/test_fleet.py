@@ -1,4 +1,4 @@
-"""Fleet telemetry: multi-file merge, alert rules, fleet exposition."""
+"""Fleet telemetry: alert rules and the fleet exposition."""
 
 import json
 
@@ -7,12 +7,10 @@ from repro.telemetry.fleet import (
     CampaignFleetStatus,
     DEFAULT_ALERT_RULES,
     FleetStats,
-    FleetTelemetry,
     ShardStatus,
     WorkerStatus,
     evaluate_alerts,
     fleet_prometheus,
-    merge_campaign_events,
 )
 
 
@@ -27,66 +25,6 @@ def _span(name, trace_id="t" * 32, **extra):
                  "parent_id": None, "trace_id": trace_id, "pid": 1,
                  "ts": 1.0, "dur": 0.5, "status": "ok", "attrs": {}},
                 **extra)
-
-
-# -- FleetTelemetry ----------------------------------------------------------
-
-class TestFleetTelemetry:
-    def test_merges_multiple_sources(self, tmp_path):
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        _write(a, [_span("serve.shard")])
-        _write(b, [_span("trial")])
-        fleet = FleetTelemetry([str(a), str(b)])
-        fleet.poll()
-        assert {e["name"] for e in fleet.spans()} == {"serve.shard", "trial"}
-
-    def test_poll_is_offset_resumable(self, tmp_path):
-        path = tmp_path / "a.jsonl"
-        _write(path, [_span("one")])
-        fleet = FleetTelemetry([str(path)])
-        assert [e["name"] for e in fleet.poll()] == ["one"]
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(_span("two")) + "\n")
-        assert [e["name"] for e in fleet.poll()] == ["two"]  # only the new
-        assert len(fleet.events) == 2
-
-    def test_sources_added_mid_stream(self, tmp_path):
-        fleet = FleetTelemetry()
-        assert fleet.poll() == []
-        path = tmp_path / "late.jsonl"
-        _write(path, [_span("late")])
-        fleet.add_source(str(path))
-        assert [e["name"] for e in fleet.poll()] == ["late"]
-
-    def test_missing_sources_tolerated(self, tmp_path):
-        fleet = FleetTelemetry([str(tmp_path / "absent.jsonl")])
-        assert fleet.poll() == []
-
-    def test_trace_ids_over_merged_stream(self, tmp_path):
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        _write(a, [_span("x", trace_id="1" * 32)])
-        _write(b, [_span("y", trace_id="1" * 32),
-                   _span("z", trace_id="2" * 32)])
-        fleet = FleetTelemetry([str(a), str(b)])
-        fleet.poll()
-        assert fleet.trace_ids() == {"1" * 32, "2" * 32}
-
-    def test_trial_span_ids(self, tmp_path):
-        path = tmp_path / "a.jsonl"
-        _write(path, [
-            dict(_span("trial"), span_id="1.9",
-                 attrs={"trial_id": "k/0"}),
-            _span("serve.shard"),
-        ])
-        fleet = FleetTelemetry([str(path)])
-        fleet.poll()
-        assert fleet.trial_span_ids() == {"k/0": "1.9"}
-
-    def test_merge_campaign_events_one_shot(self, tmp_path):
-        path = tmp_path / "a.jsonl"
-        _write(path, [_span("only")])
-        events = merge_campaign_events([str(path)])
-        assert [e["name"] for e in events] == ["only"]
 
 
 # -- alert rules -------------------------------------------------------------

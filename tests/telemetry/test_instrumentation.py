@@ -169,7 +169,9 @@ def test_parallel_campaign_single_merged_stream(tmp_path):
     summary = telemetry.CampaignTelemetry.from_file(str(stream))
     assert journal_ids <= summary.closed_trial_ids()
 
-    children = summary._descendants()
+    children: dict = {}
+    for span in summary.spans:
+        children.setdefault(span.get("parent_id"), []).append(span)
     for trial in summary.trials():
         names = set()
         stack = list(children.get(trial.span_id, ()))
