@@ -1,34 +1,18 @@
-"""Shared benchmark fixtures and the common result archive.
+"""Shared benchmark helpers and the common result archive.
 
-Every table/figure bench regenerates its experiment once (rounds=1 — these
-are end-to-end harness runs, not micro-benchmarks) at the scale given by
-``REPRO_BENCH_SCALE`` (default ``tiny``), prints the rendered table/figure,
-and archives it under ``benchmarks/results/`` for EXPERIMENTS.md.
-
-Timing measurements additionally go through :func:`write_bench_result`,
-which gives every bench script — pytest-driven or standalone — one JSON
-schema and one archive location (``benchmarks/results/
-<bench>__<timestamp>.json``), so CI artifact collection and cross-run
-comparisons never have to learn per-script formats.
-
-pytest is optional here: the standalone CI bench jobs install only numpy
-and import this module directly for :func:`write_bench_result`, so the
-fixtures are defined only when pytest is importable.
+Timing measurements go through :func:`write_bench_result`, which gives
+every bench script — pytest-driven or standalone — one JSON schema and
+one archive location (``benchmarks/results/<bench>__<timestamp>.json``),
+so CI artifact collection and cross-run comparisons never have to learn
+per-script formats.  The standalone CI bench jobs install only numpy and
+import this module directly, so it does not import pytest.
 """
 
 import json
-import os
 import pathlib
 import time
 
-try:
-    import pytest
-except ImportError:  # standalone bench scripts (numpy-only CI jobs)
-    pytest = None
-
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-BENCH_SCALE = os.environ.get("REPRO_BENCH_SCALE", "tiny")
 
 
 def write_bench_result(name: str, params: dict, seconds: float,
@@ -75,34 +59,3 @@ def run_once(benchmark, func):
     """Run an experiment exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(func, rounds=1, iterations=1)
 
-
-if pytest is not None:
-
-    @pytest.fixture(scope="session")
-    def bench_scale() -> str:
-        return BENCH_SCALE
-
-    @pytest.fixture(scope="session")
-    def results_dir() -> pathlib.Path:
-        RESULTS_DIR.mkdir(exist_ok=True)
-        return RESULTS_DIR
-
-    @pytest.fixture()
-    def record_result(results_dir):
-        """Return a callback that archives an ExperimentResult, prints it."""
-
-        def _record(result):
-            path = results_dir / f"{result.experiment_id}.txt"
-            path.write_text(
-                f"{result.rendered}\n\n[scale={BENCH_SCALE}]\n",
-                encoding="utf-8",
-            )
-            json_payload = result.to_json()
-            (results_dir / f"{result.experiment_id}.json").write_text(
-                json_payload, encoding="utf-8"
-            )
-            print()
-            print(result.rendered)
-            return result
-
-        return _record

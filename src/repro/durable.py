@@ -12,7 +12,8 @@ trusts after a crash is written by one of the protocols here:
 * :class:`Lease` — an expiring claim held as a lock file: the serve
   layer's shard and planning leases and the baseline cache lock.
 * :func:`append_fsynced` — the journal append: one ``O_APPEND`` write,
-  fsynced.  A crash leaves at most one torn final line.
+  fsynced.  A crash leaves at most one torn final line, which
+  :func:`repair_tail` cuts before the next append.
 * :class:`JsonlTail` — the torn-line-tolerant, offset-resumable reader of
   such append-only streams.
 
@@ -136,6 +137,38 @@ def append_fsynced(path: str, data: bytes) -> None:
         while view:
             view = view[os.write(fd, view):]
         os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def repair_tail(path: str) -> int:
+    """Cut a torn final line off the append-only file at *path*; returns
+    the bytes removed (0 for a missing file or a clean tail).
+
+    A crash in :func:`append_fsynced` leaves at most one partial line with
+    no newline (the newline is the last byte of every complete append).
+    It must be cut before the next append, or that record would
+    concatenate onto the torn prefix and corrupt itself.  The file is
+    read backwards from its end, one block at a time, up to the last
+    newline.
+    """
+    try:
+        fd = os.open(path, os.O_RDWR)
+    except FileNotFoundError:
+        return 0
+    try:
+        size = cut = os.fstat(fd).st_size
+        while cut > 0:
+            start = max(0, cut - 65536)
+            newline = os.pread(fd, cut - start, start).rfind(b"\n")
+            if newline >= 0:
+                cut = start + newline + 1
+                break
+            cut = start
+        if cut < size:
+            os.ftruncate(fd, cut)
+            os.fsync(fd)
+        return size - cut
     finally:
         os.close(fd)
 

@@ -1,6 +1,6 @@
 """EXPERIMENTS.md generator.
 
-Stitches archived benchmark outputs (``benchmarks/results/*.txt``/``.json``)
+Stitches archived experiment outputs (``benchmarks/results/*.txt``/``.json``)
 together with the paper's published values (:mod:`repro.analysis.paper_reference`)
 and automatic shape verdicts into the EXPERIMENTS.md deliverable.
 
@@ -86,9 +86,9 @@ HEADER = """\
 # EXPERIMENTS — paper vs. measured
 
 Generated by ``python -m repro.experiments.report`` from the archived
-benchmark outputs in ``benchmarks/results/`` (regenerate them with
-``pytest benchmarks/ --benchmark-only``; set ``REPRO_BENCH_SCALE`` to choose
-the scale).
+experiment outputs in ``benchmarks/results/`` (regenerate one with
+``repro-experiments run <id> --scale tiny > benchmarks/results/<id>.txt``,
+and its ``--json`` output as ``<id>.json``).
 
 **How to read this file.** Absolute numbers are *not* comparable to the
 paper: the paper ran full-width models on real CIFAR-10 across Summit GPU
@@ -264,8 +264,8 @@ def build_report(results_dir: pathlib.Path) -> str:
         else:
             sections.append(
                 "*(no archived result — run "
-                f"`pytest benchmarks/bench_{experiment_id}.py "
-                "--benchmark-only`)*\n"
+                f"`repro-experiments run {experiment_id} --scale tiny "
+                f"> benchmarks/results/{experiment_id}.txt`)*\n"
             )
     return "\n".join(sections)
 

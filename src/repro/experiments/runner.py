@@ -49,7 +49,7 @@ from typing import Callable, Iterable
 
 from .. import telemetry
 from ..analysis.campaign import CampaignStats
-from ..durable import append_fsynced
+from ..durable import append_fsynced, repair_tail
 from ..health.outcome import classify_trial_record
 from ..nn import blas
 
@@ -213,7 +213,8 @@ class Journal:
     (:func:`repro.durable.append_fsynced`), so after ``kill -9`` the
     journal holds every completed trial plus at most one torn final line,
     which :meth:`load` tolerates (a torn write can only be the last line
-    of an append-only file).
+    of an append-only file) and :meth:`repair` cuts before a resume
+    appends.
     """
 
     def __init__(self, path: str):
@@ -226,22 +227,9 @@ class Journal:
                        (record.to_json_line() + "\n").encode("utf-8"))
 
     def repair(self) -> int:
-        """Truncate a torn trailing line; returns the bytes removed.
-
-        A crash mid-append leaves a partial line with no trailing newline
-        (the newline is the last byte of every complete append).  It must
-        be cut *before* new appends, or the next record would concatenate
-        onto the torn prefix and corrupt itself.
-        """
-        if not os.path.exists(self.path):
-            return 0
-        with open(self.path, "rb+") as handle:
-            data = handle.read()
-            if not data or data.endswith(b"\n"):
-                return 0
-            cut = data.rfind(b"\n") + 1
-            handle.truncate(cut)
-            return len(data) - cut
+        """Cut a torn trailing line before new appends
+        (:func:`repro.durable.repair_tail`); returns the bytes removed."""
+        return repair_tail(self.path)
 
     def load(self) -> list[TrialRecord]:
         """All parseable records, skipping a torn trailing line."""

@@ -6,20 +6,18 @@ deliberately exercises the deprecated injector call form.  Pragmas handle
 the ones worth annotating in source; the baseline handles the rest: a
 checked-in JSON file of fingerprints with per-fingerprint counts.
 
-Format v2 keys each entry on ``(rule, path, line_hash)`` where
-``line_hash`` is the whitespace-insensitive content fingerprint of the
-offending source line (:func:`repro.lint.core.hash_line`).  Line
-*numbers* are still excluded — unrelated edits shifting a finding do not
-churn the file — but unlike the v1 ``(rule, path, message)`` key, moving
-a finding between files (or editing the line into a different offence
-with the same message) can no longer silently both un-baseline and
-re-baseline it.  v1 files still load; their entries match findings by the
-legacy message fingerprint, and the next ``--write-baseline`` migrates
-them to v2.
+The file (format version 2) keys each entry on ``(rule, path,
+line_hash)`` where ``line_hash`` is the whitespace-insensitive content
+fingerprint of the offending source line
+(:func:`repro.lint.core.hash_line`).  Line *numbers* are excluded —
+unrelated edits shifting a finding do not churn the file — while moving a
+finding between files, or editing the line into a different offence with
+the same message, can never silently both un-baseline and re-baseline
+it.
 
 Workflow::
 
-    repro-lint src tests --write-baseline   # seed / refresh / migrate
+    repro-lint src tests --write-baseline   # seed / refresh
     repro-lint src tests                    # exits 0 while only
                                             # baselined findings remain
 
@@ -36,6 +34,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from ..durable import atomic_write
 from .core import LintFinding
 
 #: Default location, resolved against the working directory (the repo root
@@ -43,17 +42,13 @@ from .core import LintFinding
 DEFAULT_BASELINE = ".repro-lint-baseline.json"
 
 _FORMAT_VERSION = 2
-_LEGACY_VERSION = 1
 
 
 @dataclass
 class Baseline:
-    """Fingerprint -> tolerated occurrence count (plus legacy entries)."""
+    """Fingerprint -> tolerated occurrence count."""
 
     entries: dict[str, int] = field(default_factory=dict)
-    #: v1 fingerprints (rule::path::message) loaded from an old file;
-    #: matched only after the v2 entries, migrated away on save.
-    legacy_entries: dict[str, int] = field(default_factory=dict)
 
     @classmethod
     def load(cls, path: str | None) -> "Baseline":
@@ -63,14 +58,6 @@ class Baseline:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
         version = payload.get("version")
-        if version == _LEGACY_VERSION:
-            legacy: dict[str, int] = {}
-            for item in payload.get("findings", []):
-                fingerprint = (f"{item['rule']}::{item['path']}::"
-                               f"{item['message']}")
-                legacy[fingerprint] = legacy.get(fingerprint, 0) \
-                    + int(item.get("count", 1))
-            return cls(legacy_entries=legacy)
         if version != _FORMAT_VERSION:
             raise ValueError(
                 f"{path}: unsupported baseline version {version!r}"
@@ -92,8 +79,6 @@ class Baseline:
         return cls(entries)
 
     def save(self, path: str) -> None:
-        """Write v2; any legacy entries still held are *not* carried over
-        (saving is always from fresh findings, which migrates them)."""
         items = []
         for fingerprint in sorted(self.entries):
             rule, file_path, line_hash = fingerprint.split("::", 2)
@@ -102,20 +87,14 @@ class Baseline:
                 "line_hash": line_hash.lstrip("@"),
                 "count": self.entries[fingerprint],
             })
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump({"version": _FORMAT_VERSION, "findings": items},
-                      handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        text = json.dumps({"version": _FORMAT_VERSION, "findings": items},
+                          indent=2, sort_keys=True)
+        atomic_write(path, (text + "\n").encode("utf-8"))
 
     def split(self, findings: Iterable[LintFinding]
               ) -> tuple[list[LintFinding], list[LintFinding]]:
-        """(new, baselined) partition of *findings*, consuming counts.
-
-        v2 entries match on the line-hash fingerprint; v1 entries loaded
-        from a legacy file match on the message fingerprint.
-        """
+        """(new, baselined) partition of *findings*, consuming counts."""
         remaining = dict(self.entries)
-        remaining_legacy = dict(self.legacy_entries)
         new: list[LintFinding] = []
         baselined: list[LintFinding] = []
         for finding in findings:
@@ -123,31 +102,17 @@ class Baseline:
             if remaining.get(key, 0) > 0:
                 remaining[key] -= 1
                 baselined.append(finding)
-                continue
-            legacy_key = finding.legacy_fingerprint()
-            if remaining_legacy.get(legacy_key, 0) > 0:
-                remaining_legacy[legacy_key] -= 1
-                baselined.append(finding)
-                continue
-            new.append(finding)
+            else:
+                new.append(finding)
         return new, baselined
 
     def stale_entries(self, findings: Iterable[LintFinding]) -> list[str]:
         """Fingerprints whose tolerated count exceeds current findings."""
         seen: dict[str, int] = {}
-        seen_legacy: dict[str, int] = {}
         for finding in findings:
             key = finding.fingerprint()
             seen[key] = seen.get(key, 0) + 1
-            legacy_key = finding.legacy_fingerprint()
-            seen_legacy[legacy_key] = seen_legacy.get(legacy_key, 0) + 1
-        stale = [
+        return sorted(
             fingerprint for fingerprint, count in self.entries.items()
             if seen.get(fingerprint, 0) < count
-        ]
-        stale.extend(
-            fingerprint
-            for fingerprint, count in self.legacy_entries.items()
-            if seen_legacy.get(fingerprint, 0) < count
         )
-        return sorted(stale)

@@ -10,7 +10,7 @@ Whole-program switches::
 
     repro-lint src --jobs 8                 # parallel file parsing
     repro-lint src --graph-cache            # warm runs skip parsing
-    repro-lint src --explain fork-reach     # print inferred traces
+    repro-lint src --explain fork-safety    # print inferred traces
     repro-lint src --dump-graph graph.json  # call-graph CI artifact
 """
 
@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the report to PATH instead of stdout")
     parser.add_argument("--select", default=None, metavar="RULES",
                         help="comma-separated rule names to run "
-                             "(default: all, per-file and cross-module)")
+                             "(default: all, per-file and whole-program)")
     parser.add_argument("--baseline", default=DEFAULT_BASELINE,
                         metavar="PATH",
                         help="baseline file of grandfathered findings "

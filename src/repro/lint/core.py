@@ -1,4 +1,4 @@
-"""The ``repro.lint`` framework: sources, findings, rules, and the runner.
+"""The ``repro.lint`` framework: sources, findings and the rule registry.
 
 The repo's correctness story rests on contracts the test suite can only
 probe dynamically — injections bit-identical across engines, probes and
@@ -14,10 +14,13 @@ Pieces:
 * :class:`LintFinding` — one diagnostic, with a line-independent
   :meth:`~LintFinding.fingerprint` used by the baseline;
 * :func:`rule` — registers a checker with its metadata (description,
-  rationale, the module-name *domains* it is confined to);
-* :func:`lint_paths` / :func:`lint_module` — the runner, applying every
-  selected rule whose domain matches and filtering pragma-suppressed
-  findings.
+  rationale, the module-name *domains* it is confined to), either per file
+  or over the whole program.
+
+The runner (:func:`repro.lint.project.analyze_paths`, and
+:func:`~repro.lint.project.lint_source` for one source string) applies
+every selected rule whose domain matches and filters pragma-suppressed
+findings.
 
 Suppression pragmas (both forms take a comma list or ``all``)::
 
@@ -97,14 +100,7 @@ class LintFinding:
         same line moved to another file) cannot silently consume a stale
         baseline entry for an old finding with the same message.
         """
-        if self.line_hash:
-            return f"{self.rule}::{self.path}::@{self.line_hash}"
-        return self.legacy_fingerprint()
-
-    def legacy_fingerprint(self) -> str:
-        """The v1 baseline key (rule + path + message), kept for loading
-        baselines written before line hashes existed."""
-        return f"{self.rule}::{self.path}::{self.message}"
+        return f"{self.rule}::{self.path}::@{self.line_hash}"
 
     def suppression_lines(self) -> range:
         """The physical lines on which a pragma suppresses this finding."""
@@ -167,15 +163,6 @@ class SourceModule:
                 self.file_suppressions |= names
             else:
                 self.line_suppressions.setdefault(lineno, set()).update(names)
-
-    def suppressed(self, finding: LintFinding) -> bool:
-        if {finding.rule, "*"} & self.file_suppressions:
-            return True
-        for lineno in finding.suppression_lines():
-            on_line = self.line_suppressions.get(lineno, ())
-            if finding.rule in on_line or "*" in on_line:
-                return True
-        return False
 
     def line_hash_at(self, lineno: int) -> str:
         if 1 <= lineno <= len(self.lines):
@@ -243,7 +230,15 @@ def module_name(path: str) -> str:
 # Rule registry
 # ---------------------------------------------------------------------------
 
-Checker = Callable[[SourceModule], Iterable[tuple[ast.AST, str]]]
+Checker = Callable[..., Iterable[tuple]]  # see rule()
+
+
+def in_domains(module: str, domains: tuple[str, ...]) -> bool:
+    """Whether dotted *module* falls under one of *domains* (none: all)."""
+    return not domains or any(
+        module == domain or module.startswith(domain + ".")
+        for domain in domains
+    )
 
 
 @dataclass(frozen=True)
@@ -255,28 +250,29 @@ class Rule:
     rationale: str
     domains: tuple[str, ...]
     checker: Checker
+    whole_program: bool = False
 
     def applies_to(self, module: str) -> bool:
-        if not self.domains:
-            return True
-        return any(
-            module == domain or module.startswith(domain + ".")
-            for domain in self.domains
-        )
+        return in_domains(module, self.domains)
 
 
 REGISTRY: dict[str, Rule] = {}
 
 
 def rule(name: str, *, description: str, rationale: str,
-         domains: tuple[str, ...] = ()) -> Callable[[Checker], Checker]:
+         domains: tuple[str, ...] = (),
+         whole_program: bool = False) -> Callable[[Checker], Checker]:
     """Register *checker* under *name*.
 
-    The checker receives a :class:`SourceModule` and yields
+    A per-file checker receives a :class:`SourceModule` and yields
     ``(node, message)`` pairs; the framework turns them into
-    :class:`LintFinding` objects and applies pragma suppression.  Empty
-    *domains* means the rule runs on every module; otherwise it runs only
-    on modules whose dotted name falls under one of the prefixes.
+    :class:`LintFinding` objects.  A *whole_program* checker receives the
+    project graph, where no AST is in reach (a warm graph-cache run parses
+    nothing), and yields ``(path, line, message, trace)``: plain
+    coordinates plus the evidence ``--explain`` prints, one hop per entry.
+    Empty *domains* means findings may anchor in every module; otherwise
+    only in modules whose dotted name falls under one of the prefixes (a
+    whole-program rule still sees every linted file).
     """
 
     def register(checker: Checker) -> Checker:
@@ -285,6 +281,7 @@ def rule(name: str, *, description: str, rationale: str,
         REGISTRY[name] = Rule(
             name=name, description=description, rationale=rationale,
             domains=tuple(domains), checker=checker,
+            whole_program=whole_program,
         )
         return checker
 
@@ -292,29 +289,22 @@ def rule(name: str, *, description: str, rationale: str,
 
 
 def get_rules(select: Iterable[str] | None = None) -> list[Rule]:
-    """Registered per-file rules, optionally restricted to *select* names.
-
-    *select* may also name cross-module rules (the CLI shares one
-    ``--select`` namespace); those are simply not returned here — fetch
-    them with :func:`get_cross_rules`.
-    """
+    """Registered rules, optionally restricted to *select* names."""
     _ensure_rules_loaded()
     if select is None:
         return [REGISTRY[name] for name in sorted(REGISTRY)]
     validate_select(select)
-    return [REGISTRY[name] for name in sorted(select)
-            if name in REGISTRY]
+    return [REGISTRY[name] for name in sorted(set(select))]
 
 
 def validate_select(select: Iterable[str]) -> None:
-    """Raise on names naming neither a per-file nor a cross-module rule."""
+    """Raise on names that name no registered rule."""
     _ensure_rules_loaded()
-    registered = set(REGISTRY) | set(CROSS_REGISTRY)
-    unknown = sorted(set(select) - registered)
+    unknown = sorted(set(select) - set(REGISTRY))
     if unknown:
         raise ValueError(
             f"unknown lint rule(s): {', '.join(unknown)}; "
-            f"registered: {', '.join(sorted(registered))}"
+            f"registered: {', '.join(sorted(REGISTRY))}"
         )
 
 
@@ -326,105 +316,10 @@ def _ensure_rules_loaded() -> None:
     from . import rules_rng  # noqa: F401
 
 
-# ---------------------------------------------------------------------------
-# Cross-module (whole-program) rules
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CrossFinding:
-    """One diagnostic from a whole-program rule, anchored by path/line.
-
-    Cross rules run over the project fact graph (no ASTs in reach — warm
-    graph-cache runs never re-parse), so they report plain coordinates
-    plus the inferred *trace*: the call chain or dataflow path that
-    justifies the finding, one human-readable hop per entry.
-    """
-
-    path: str
-    line: int
-    message: str
-    col: int = 0
-    span_start: int = 0
-    end_line: int = 0
-    trace: tuple[str, ...] = ()
-
-
-class CrossModuleRule:
-    """Base class for whole-program rules: "what reaches what" checks.
-
-    Subclasses set the metadata class attributes and implement
-    :meth:`check` as a generator over a
-    :class:`~repro.lint.graph.ProjectGraph`.  Registration is via the
-    :func:`cross_rule` class decorator; domain scoping restricts where a
-    finding may be *anchored* (the graph itself always spans every linted
-    file — a purity violation may well sit outside the purity domain).
-    """
-
-    name: str = ""
-    description: str = ""
-    rationale: str = ""
-    domains: tuple[str, ...] = ()
-
-    def applies_to(self, module: str) -> bool:
-        if not self.domains:
-            return True
-        return any(module == domain or module.startswith(domain + ".")
-                   for domain in self.domains)
-
-    def check(self, graph) -> Iterable[CrossFinding]:
-        raise NotImplementedError
-
-
-CROSS_REGISTRY: dict[str, CrossModuleRule] = {}
-
-
-def cross_rule(cls: type) -> type:
-    """Register a :class:`CrossModuleRule` subclass (instantiated once)."""
-    instance = cls()
-    if not instance.name:
-        raise ValueError(f"{cls.__name__} must set a rule name")
-    if instance.name in REGISTRY or instance.name in CROSS_REGISTRY:
-        raise ValueError(f"duplicate lint rule {instance.name!r}")
-    CROSS_REGISTRY[instance.name] = instance
-    return cls
-
-
-def get_cross_rules(select: Iterable[str] | None = None
-                    ) -> list[CrossModuleRule]:
-    """Registered cross-module rules, optionally restricted to *select*."""
-    _ensure_rules_loaded()
-    if select is None:
-        return [CROSS_REGISTRY[name] for name in sorted(CROSS_REGISTRY)]
-    validate_select(select)
-    return [CROSS_REGISTRY[name] for name in sorted(select)
-            if name in CROSS_REGISTRY]
-
-
 def known_rule_names() -> set[str]:
     """Every name a pragma may legitimately disable."""
     _ensure_rules_loaded()
-    return (set(REGISTRY) | set(CROSS_REGISTRY)
-            | {PARSE_ERROR, BAD_PRAGMA})
-
-
-# ---------------------------------------------------------------------------
-# Runner
-# ---------------------------------------------------------------------------
-
-def lint_module(module: SourceModule,
-                select: Iterable[str] | None = None) -> list[LintFinding]:
-    """All non-suppressed findings of the selected rules on one module."""
-    findings: list[LintFinding] = []
-    for rule_ in get_rules(select):
-        if not rule_.applies_to(module.module):
-            continue
-        for node, message in rule_.checker(module):
-            finding = module.finding(node, rule_.name, message)
-            if not module.suppressed(finding):
-                findings.append(finding)
-    findings.extend(check_pragmas(module))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
+    return set(REGISTRY) | {PARSE_ERROR, BAD_PRAGMA}
 
 
 def check_pragmas(module: SourceModule) -> list[LintFinding]:
@@ -435,28 +330,16 @@ def check_pragmas(module: SourceModule) -> list[LintFinding]:
     annotated when it is not.
     """
     known = known_rule_names()
-    findings = []
-    for lineno, name in sorted(module.pragma_sites):
-        if name == "*" or name in known:
-            continue
-        finding = LintFinding(
+    return [
+        LintFinding(
             rule=BAD_PRAGMA, path=module.path, line=lineno, col=0,
             message=(f"pragma names unknown rule {name!r}; it suppresses "
                      "nothing (see --list-rules for the catalogue)"),
             line_hash=module.line_hash_at(lineno),
         )
-        if not module.suppressed(finding):
-            findings.append(finding)
-    return findings
-
-
-def lint_source(source: str, *, path: str = "<string>",
-                module: str = "",
-                select: Iterable[str] | None = None) -> list[LintFinding]:
-    """Lint a source string (the fixture-test entry point)."""
-    return lint_module(
-        SourceModule.parse(path, source=source, module=module), select=select
-    )
+        for lineno, name in sorted(module.pragma_sites)
+        if name != "*" and name not in known
+    ]
 
 
 def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
@@ -476,29 +359,6 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
         else:
             raise FileNotFoundError(f"not a Python file or directory: {path}")
     return iter(out)
-
-
-def lint_paths(paths: Iterable[str],
-               select: Iterable[str] | None = None) -> list[LintFinding]:
-    """Lint every Python file under *paths*.
-
-    Unparseable files yield a single :data:`PARSE_ERROR` finding instead of
-    aborting the run — a syntax error in one experiment script must not
-    mask findings everywhere else.
-    """
-    findings: list[LintFinding] = []
-    for file_path in iter_python_files(paths):
-        try:
-            module = SourceModule.parse(file_path)
-        except (SyntaxError, UnicodeDecodeError, OSError) as error:
-            line = getattr(error, "lineno", None) or 1
-            findings.append(LintFinding(
-                rule=PARSE_ERROR, path=normalize_path(file_path),
-                line=line, col=0, message=f"cannot parse file: {error}",
-            ))
-            continue
-        findings.extend(lint_module(module, select=select))
-    return findings
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 The whole-program rules never see an AST.  Each file is distilled once
 into a JSON-serializable **facts** dict (:func:`extract_module_facts`) —
 its functions, their call sites and dataflow effects, imports, classes,
-module-level state, pragma tables, and per-line content hashes — and the
+the RNG it uses and the state it creates at import time, pragma tables,
+and per-line content hashes — and the
 :class:`ProjectGraph` is assembled from those facts alone.  That split is
 what makes ``--graph-cache`` honest: a warm run loads facts by content
 hash and rebuilds the graph without parsing a single file.
@@ -35,7 +36,7 @@ from .core import (SourceModule, dotted_name, hash_line, node_span,
 
 #: Facts format version; bump on any change to the extraction schema so
 #: stale graph caches self-invalidate.
-FACTS_VERSION = 2
+FACTS_VERSION = 3
 
 #: Maximum project definitions a terminal name may have and still resolve
 #: by name; more means the name is too generic to be evidence.
@@ -48,12 +49,6 @@ _GENERIC_NAMES = frozenset({
     "stop", "send", "recv", "next", "items", "keys", "values", "copy",
     "check", "finish", "flush", "join", "add", "pop", "clear", "submit",
 })
-
-_LOCK_FACTORIES = frozenset({
-    "Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore",
-})
-
-_HANDLE_FACTORIES = frozenset({"open", "File", "memmap", "fdopen"})
 
 _FORK_DECORATORS = frozenset({"trial_kind", "batch_trial_kind"})
 
@@ -169,14 +164,14 @@ def extract_module_facts(module: SourceModule) -> dict:
     """The whole-program facts digest of one parsed file."""
     functions: dict[str, dict] = {}
     classes: dict[str, dict] = {}
-    module_locks: list[dict] = []
-    module_handles: list[dict] = []
     fork_targets: list[dict] = []
+    extracted: list[ast.AST] = []  # the function nodes facts describe
 
     for statement in module.tree.body:
         if isinstance(statement, _FUNCTION_NODES):
             facts = _function_facts(statement, cls=None)
             functions[f"{module.module}.{statement.name}"] = facts
+            extracted.append(statement)
         elif isinstance(statement, ast.ClassDef):
             methods = []
             for sub in statement.body:
@@ -186,23 +181,12 @@ def extract_module_facts(module: SourceModule) -> dict:
                                 f"{statement.name}.{sub.name}")
                     functions[qualname] = _function_facts(
                         sub, cls=statement.name)
+                    extracted.append(sub)
             classes[statement.name] = {
                 "line": statement.lineno, "methods": methods,
                 "bases": [dataflow.expr_text(base)
                           for base in statement.bases],
             }
-        elif isinstance(statement, ast.Assign) and \
-                len(statement.targets) == 1 and \
-                isinstance(statement.targets[0], ast.Name) and \
-                isinstance(statement.value, ast.Call):
-            target = statement.targets[0].id
-            factory = terminal_name(statement.value) or ""
-            if factory in _LOCK_FACTORIES:
-                module_locks.append({"name": target,
-                                     "line": statement.lineno})
-            elif factory in _HANDLE_FACTORIES:
-                module_handles.append({"name": target,
-                                       "line": statement.lineno})
 
     for node in ast.walk(module.tree):
         if isinstance(node, ast.Call) and \
@@ -222,8 +206,8 @@ def extract_module_facts(module: SourceModule) -> dict:
         "imports": _import_map(module),
         "functions": functions,
         "classes": classes,
-        "module_locks": module_locks,
-        "module_handles": module_handles,
+        "module_rng": dataflow.module_rng_uses(module.tree, extracted),
+        "import_state": dataflow.import_time_state(module.tree),
         "fork_targets": fork_targets,
         "line_hashes": [hash_line(line) for line in module.lines],
         "line_suppressions": {
@@ -390,8 +374,9 @@ class ProjectGraph:
         return out
 
     def fork_entries(self) -> list[str]:
-        """Worker entry points: ``Process(target=...)`` functions and
-        ``@trial_kind`` / ``@batch_trial_kind`` registered trial bodies."""
+        """The worker entry points the ``fork-safety`` rule walks from:
+        ``Process(target=...)`` functions and ``@trial_kind`` /
+        ``@batch_trial_kind`` registered trial bodies."""
         entries: set[str] = set()
         for facts in self.modules.values():
             module = facts["module"]
@@ -520,33 +505,25 @@ class ProjectGraph:
             cursor = callee
         return hops
 
-    # -- module-level state lookups ----------------------------------------
+    # -- import-time state lookups -----------------------------------------
 
-    def module_lock(self, module: str, name: str) -> dict | None:
-        facts = self.by_module.get(module)
-        if facts is None:
-            return None
+    def module_state(self, module: str, name: str,
+                     kind: str) -> dict | None:
+        """The import-time *kind* object (see
+        :func:`~repro.lint.dataflow.import_time_state`) that *name* loads in
+        *module* — a module-level binding there, or one imported by name —
+        with the ``path`` of the module that creates it."""
         head = name.split(".")[0]
-        for lock in facts["module_locks"]:
-            if lock["name"] == head:
-                return lock
-        target = facts["imports"].get(head)
+        owners = [(module, head)]
+        target = self.by_module.get(module, {}).get("imports", {}).get(head)
         if target:
             owner, _, attr = target.rpartition(".")
-            owner_facts = self.by_module.get(owner)
-            if owner_facts:
-                for lock in owner_facts["module_locks"]:
-                    if lock["name"] == attr:
-                        return lock
-        return None
-
-    def module_handle(self, module: str, name: str) -> dict | None:
-        facts = self.by_module.get(module)
-        if facts is None:
-            return None
-        for handle in facts["module_handles"]:
-            if handle["name"] == name.split(".")[0]:
-                return handle
+            owners.append((owner, attr))
+        for owner, attr in owners:
+            facts = self.by_module.get(owner)
+            for state in facts["import_state"] if facts else ():
+                if state["kind"] == kind and state["name"] == attr:
+                    return {**state, "path": facts["path"]}
         return None
 
     # -- serialization (the CI call-graph artifact) ------------------------

@@ -1,15 +1,21 @@
-"""The whole-program runner: parse (or reload) facts, build the graph,
-run per-file and cross-module rules.
+"""The runner: one lint pass, from a source string to a whole tree.
+
+Each file is parsed once into an *entry* — its per-file findings and its
+whole-program facts.  The :class:`~repro.lint.graph.ProjectGraph` is
+assembled from every entry's facts, the whole-program rules run on it,
+and one pragma filter drops the suppressed findings of both kinds.
+:func:`analyze_paths` runs that over files and :func:`lint_source` over
+one source string, as a one-module project.
 
 Two properties the CLI and CI lean on:
 
-* **Incrementality** (``--graph-cache``): every file's per-file findings
-  and whole-program facts are cached keyed on the sha1 of its *content*
-  plus a hash of the lint package's own sources and the active rule
-  selection.  On a warm run over an unchanged tree, nothing is
-  ``ast.parse``d at all — the graph is rebuilt from cached facts (cheap,
-  pure dict work) and the cross rules re-run on it, because a one-file
-  change can flip a finding in a file that did not change.
+* **Incrementality** (``--graph-cache``): every file's entry is cached
+  keyed on the sha1 of its *content* plus a hash of the lint package's
+  own sources and the active rule selection.  On a warm run over an
+  unchanged tree, nothing is ``ast.parse``d at all — the graph is rebuilt
+  from cached facts (cheap, pure dict work) and the whole-program rules
+  re-run on it, because a one-file change can flip a finding in a file
+  that did not change.
 
 * **Determinism** (``--jobs N``): files are parsed in worker processes
   but merged in sorted-path order, and every downstream structure
@@ -30,12 +36,11 @@ from ..durable import write_json
 from . import graph as graph_mod
 from .core import (
     PARSE_ERROR,
-    CrossFinding,
     LintFinding,
     SourceModule,
-    get_cross_rules,
+    check_pragmas,
+    get_rules,
     iter_python_files,
-    lint_module,
     normalize_path,
 )
 
@@ -78,34 +83,52 @@ def _finding_from_dict(payload: dict) -> LintFinding:
     )
 
 
+def _unparsed(path: str, raw: bytes, error: Exception) -> dict:
+    """The entry of a file that cannot be read or parsed: one
+    :data:`PARSE_ERROR` finding, so a syntax error in one script never
+    masks the findings everywhere else."""
+    finding = LintFinding(
+        rule=PARSE_ERROR, path=normalize_path(path),
+        line=getattr(error, "lineno", None) or 1, col=0,
+        message=f"cannot parse file: {error}",
+    )
+    return {"path": finding.path, "hash": file_hash(raw), "facts": None,
+            "findings": [_finding_to_dict(finding)]}
+
+
+def _analyze_source(path: str, raw: bytes, select: Iterable[str] | None,
+                    module: str | None = None) -> dict:
+    """One file's cacheable entry: its facts and its per-file findings,
+    pragmas not yet applied."""
+    try:
+        source = SourceModule.parse(path, source=raw.decode("utf-8"),
+                                    module=module)
+    except (SyntaxError, UnicodeDecodeError) as error:
+        return _unparsed(path, raw, error)
+    findings = [
+        source.finding(node, rule_.name, message)
+        for rule_ in get_rules(select)
+        if not rule_.whole_program and rule_.applies_to(source.module)
+        for node, message in rule_.checker(source)
+    ]
+    findings.extend(check_pragmas(source))
+    return {
+        "path": source.path,
+        "hash": file_hash(raw),
+        "facts": graph_mod.extract_module_facts(source),
+        "findings": [_finding_to_dict(f) for f in findings],
+    }
+
+
 def _analyze_file(task: tuple[str, tuple[str, ...] | None]) -> dict:
-    """Parse one file into its cacheable entry (runs in --jobs workers)."""
+    """Read and analyze one file (runs in --jobs workers)."""
     path, select = task
-    raw = b""
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
-        source = raw.decode("utf-8")
-        module = SourceModule.parse(path, source=source)
-    except (SyntaxError, UnicodeDecodeError, OSError) as error:
-        line = getattr(error, "lineno", None) or 1
-        finding = LintFinding(
-            rule=PARSE_ERROR, path=normalize_path(path), line=line,
-            col=0, message=f"cannot parse file: {error}",
-        )
-        return {
-            "path": normalize_path(path),
-            "hash": file_hash(raw),
-            "facts": None,
-            "findings": [_finding_to_dict(finding)],
-        }
-    findings = lint_module(module, select=list(select) if select else None)
-    return {
-        "path": module.path,
-        "hash": file_hash(raw),
-        "facts": graph_mod.extract_module_facts(module),
-        "findings": [_finding_to_dict(f) for f in findings],
-    }
+    except OSError as error:
+        return _unparsed(path, b"", error)
+    return _analyze_source(path, raw, select)
 
 
 @dataclass
@@ -148,56 +171,66 @@ def _save_cache(cache_path: str, lint_hash: str,
     write_json(cache_path, payload)
 
 
-def _cross_suppressed(facts: dict, finding: CrossFinding,
-                      rule_name: str) -> bool:
-    """Pragma filtering for cross findings, off the cached fact tables."""
-    file_suppressions = set(facts.get("file_suppressions", ()))
-    if {rule_name, "*"} & file_suppressions:
+def _suppressed(finding: LintFinding, facts: dict | None) -> bool:
+    """Whether a pragma in the finding's file disables it: the one
+    pragma filter, for per-file and whole-program findings alike."""
+    if facts is None:
+        return False
+    names = {finding.rule, "*"}
+    if names & set(facts["file_suppressions"]):
         return True
-    line_suppressions = facts.get("line_suppressions", {})
-    probe = LintFinding(
-        rule=rule_name, path=finding.path, line=finding.line,
-        col=finding.col, message=finding.message,
-        span_start=finding.span_start, end_line=finding.end_line,
-    )
-    for lineno in probe.suppression_lines():
-        on_line = line_suppressions.get(str(lineno), ())
-        if rule_name in on_line or "*" in on_line:
-            return True
-    return False
+    on_line = facts["line_suppressions"]
+    return any(names & set(on_line.get(str(lineno), ()))
+               for lineno in finding.suppression_lines())
 
 
-def _run_cross_rules(project: graph_mod.ProjectGraph,
-                     select: list[str] | None) -> list[LintFinding]:
+def _whole_program_findings(project: graph_mod.ProjectGraph,
+                            select: Iterable[str] | None
+                            ) -> list[LintFinding]:
+    """The whole-program rules' findings, one per rule and line."""
     findings: list[LintFinding] = []
-    by_path = {facts["path"]: facts
-               for facts in project.modules.values()}
-    for rule_ in get_cross_rules(select):
-        for cross in rule_.check(project):
-            facts = by_path.get(cross.path)
-            if facts is None:
+    seen: set[tuple[str, str, int]] = set()
+    for rule_ in get_rules(select):
+        if not rule_.whole_program:
+            continue
+        for path, line, message, trace in rule_.checker(project):
+            facts = project.modules.get(path)
+            if facts is None or not rule_.applies_to(facts["module"]) or \
+                    (rule_.name, path, line) in seen:
                 continue
-            if not rule_.applies_to(facts["module"]):
-                continue
-            if _cross_suppressed(facts, cross, rule_.name):
-                continue
-            line_hashes = facts.get("line_hashes", [])
-            line_hash = line_hashes[cross.line - 1] \
-                if 1 <= cross.line <= len(line_hashes) else ""
+            seen.add((rule_.name, path, line))
+            line_hashes = facts["line_hashes"]
             findings.append(LintFinding(
-                rule=rule_.name, path=cross.path, line=cross.line,
-                col=cross.col, message=cross.message,
-                line_hash=line_hash, span_start=cross.span_start,
-                end_line=cross.end_line, trace=tuple(cross.trace),
+                rule=rule_.name, path=path, line=line, col=0,
+                message=message,
+                line_hash=line_hashes[line - 1]
+                if 1 <= line <= len(line_hashes) else "",
+                trace=tuple(trace),
             ))
     return findings
+
+
+def _assemble(entries: dict[str, dict],
+              select: Iterable[str] | None) -> ProjectResult:
+    """Build the graph from *entries*, run the whole-program rules on it
+    and filter every finding through the files' pragmas."""
+    modules = {path: entry["facts"] for path, entry in entries.items()
+               if entry["facts"] is not None}
+    project = graph_mod.ProjectGraph(modules)
+    findings = [_finding_from_dict(payload) for path in sorted(entries)
+                for payload in entries[path]["findings"]]
+    findings.extend(_whole_program_findings(project, select))
+    findings = [finding for finding in findings
+                if not _suppressed(finding, modules.get(finding.path))]
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    return ProjectResult(findings=findings, graph=project)
 
 
 def analyze_paths(paths: Iterable[str],
                   select: Iterable[str] | None = None,
                   jobs: int = 1,
                   cache_path: str | None = None) -> ProjectResult:
-    """Run the full analysis (per-file rules + whole-program rules).
+    """Run every selected rule, per-file and whole-program, over *paths*.
 
     *jobs* > 1 parses files in a process pool; *cache_path* enables the
     content-hash graph cache.  Output is deterministic across both.
@@ -236,23 +269,20 @@ def analyze_paths(paths: Iterable[str],
     if cache_path:
         _save_cache(cache_path, lint_hash, select_list, entries)
 
-    findings: list[LintFinding] = []
-    modules: dict[str, dict] = {}
-    for norm in sorted(entries):
-        entry = entries[norm]
-        findings.extend(_finding_from_dict(f) for f in entry["findings"])
-        if entry["facts"] is not None:
-            modules[norm] = entry["facts"]
+    result = _assemble(entries, select_list)
+    result.stats = {
+        "files": len(files),
+        "parsed": len(to_parse),
+        "cached": len(files) - len(to_parse),
+    }
+    return result
 
-    project = graph_mod.ProjectGraph(modules)
-    findings.extend(_run_cross_rules(project, select_list))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return ProjectResult(
-        findings=findings,
-        graph=project,
-        stats={
-            "files": len(files),
-            "parsed": len(to_parse),
-            "cached": len(files) - len(to_parse),
-        },
-    )
+
+def lint_source(source: str, *, path: str = "<string>",
+                module: str = "",
+                select: Iterable[str] | None = None) -> list[LintFinding]:
+    """Lint *source* as a one-module project (the fixture-test entry
+    point): every rule runs, the whole-program ones over its one file."""
+    entry = _analyze_source(path, source.encode("utf-8"), select,
+                            module=module)
+    return _assemble({entry["path"]: entry}, select).findings

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from .baseline import Baseline
-from .core import LintFinding, get_cross_rules, get_rules
+from .core import LintFinding, get_rules
 
 
 def text_report(new: list[LintFinding], baselined: list[LintFinding],
@@ -42,7 +42,7 @@ def json_report(new: list[LintFinding], baselined: list[LintFinding],
                 "rationale": rule.rationale,
                 "domains": list(rule.domains),
             }
-            for rule in [*get_rules(), *get_cross_rules()]
+            for rule in get_rules()
         },
     }
     return json.dumps(payload, indent=2, sort_keys=True)
@@ -53,16 +53,9 @@ def rule_catalogue() -> str:
     blocks = []
     for rule in get_rules():
         domains = ", ".join(rule.domains) if rule.domains else "all modules"
+        kind = "  [whole-program]" if rule.whole_program else ""
         blocks.append(
-            f"{rule.name}\n"
-            f"  applies to: {domains}\n"
-            f"  checks: {rule.description}\n"
-            f"  why: {rule.rationale}"
-        )
-    for rule in get_cross_rules():
-        domains = ", ".join(rule.domains) if rule.domains else "all modules"
-        blocks.append(
-            f"{rule.name}  [whole-program]\n"
+            f"{rule.name}{kind}\n"
             f"  applies to: {domains}\n"
             f"  checks: {rule.description}\n"
             f"  why: {rule.rationale}"

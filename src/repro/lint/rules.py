@@ -1,10 +1,11 @@
-"""The domain rules: the repo's runtime contracts as static checks.
+"""The per-file rules: the repo's runtime contracts one module decides.
 
-Each rule names the invariant it guards and the PR that introduced it —
-see ``docs/static-analysis.md`` for the full catalogue.  Rules are
-registered on import via :func:`repro.lint.core.rule`; the framework
-handles domain scoping, pragma suppression, and baselining, so checkers
-only yield ``(node, message)`` pairs.
+``docs/static-analysis.md`` has the full catalogue, the whole-program
+``rng-purity`` (:mod:`.rules_rng`) and ``fork-safety``
+(:mod:`.rules_fork`) included.  Rules are registered on import via
+:func:`repro.lint.core.rule`; the framework handles domain scoping,
+pragma suppression, and baselining, so checkers only yield ``(node,
+message)`` pairs.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .core import (
     rule,
     terminal_name,
 )
+from .dataflow import import_time_calls
 
 # ---------------------------------------------------------------------------
 # Scope helpers
@@ -47,201 +49,8 @@ def _walk_scope(body: Iterable[ast.stmt]) -> Iterator[ast.AST]:
                 stack.append(child)
 
 
-def _calls_in(node: ast.AST) -> Iterator[ast.Call]:
-    for child in ast.walk(node):
-        if isinstance(child, ast.Call):
-            yield child
-
-
-def _import_time_calls(tree: ast.Module,
-                       include_classes: bool = True) -> Iterator[ast.Call]:
-    """Every Call evaluated when the module is imported.
-
-    Module top-level expressions run at import; so do class bodies (a
-    ``Lock()`` class attribute is as fork-hostile as a module global) and
-    the decorators/defaults of function definitions.  Function *bodies*
-    are excluded — they run after the fork, on whichever side called them.
-    """
-    stack: list[ast.stmt] = list(tree.body)
-    while stack:
-        statement = stack.pop()
-        if isinstance(statement, _FUNCTION_NODES):
-            for expr in (*statement.decorator_list,
-                         *statement.args.defaults,
-                         *statement.args.kw_defaults):
-                if expr is not None:
-                    yield from _calls_in(expr)
-            continue
-        if isinstance(statement, ast.ClassDef):
-            for expr in (*statement.decorator_list, *statement.bases,
-                         *statement.keywords):
-                yield from _calls_in(expr)
-            if include_classes:
-                stack.extend(statement.body)
-            continue
-        # compound statements: scan import-time-evaluated expressions,
-        # then descend into the statement bodies
-        nested = False
-        for kind, exprs in (
-            ((ast.If, ast.While), lambda s: [s.test]),
-            ((ast.For, ast.AsyncFor), lambda s: [s.iter]),
-            ((ast.With, ast.AsyncWith),
-             lambda s: [item.context_expr for item in s.items]),
-            ((ast.Try,), lambda s: []),
-        ):
-            if isinstance(statement, kind):
-                for expr in exprs(statement):
-                    yield from _calls_in(expr)
-                for child in ast.iter_child_nodes(statement):
-                    if isinstance(child, ast.stmt):
-                        stack.append(child)
-                    elif isinstance(child, ast.excepthandler):
-                        stack.extend(child.body)
-                nested = True
-                break
-        if not nested:
-            yield from _calls_in(statement)
-
-
 # ---------------------------------------------------------------------------
-# 1. rng-purity
-# ---------------------------------------------------------------------------
-
-#: Method names that draw from an RNG state.  Any call through one of these
-#: inside a purity domain is flagged regardless of the receiver — a purity
-#: domain has no legitimate RNG to call them on.
-RNG_DRAW_METHODS = frozenset({
-    "standard_normal", "normal", "uniform", "integers", "choice",
-    "shuffle", "permutation", "rand", "randn", "randint", "random_sample",
-    "beta", "binomial", "poisson", "exponential",
-})
-
-#: Module prefixes whose import alone signals randomness.
-RNG_MODULES = ("random", "numpy.random", "secrets")
-
-
-@rule(
-    "rng-purity",
-    description="no RNG draws in bit-identity-critical code",
-    rationale=(
-        "health probes (PR 4), telemetry (PR 3), and the structural "
-        "validator must be observational: one RNG draw would shift every "
-        "subsequent sample of a seeded campaign and silently break the "
-        "probed == unprobed bit-identity guarantee"
-    ),
-    domains=("repro.health", "repro.telemetry", "repro.hdf5.validate",
-             "repro.lint"),
-)
-def check_rng_purity(module: SourceModule):
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.split(".")[0] == "random" or \
-                        alias.name.startswith("numpy.random") or \
-                        alias.name == "secrets":
-                    yield node, (
-                        f"import of RNG module {alias.name!r} in a "
-                        "purity domain"
-                    )
-        elif isinstance(node, ast.ImportFrom):
-            origin = node.module or ""
-            if origin in RNG_MODULES or origin.startswith("numpy.random"):
-                yield node, (
-                    f"import from RNG module {origin!r} in a purity domain"
-                )
-        elif isinstance(node, ast.Attribute):
-            dotted = dotted_name(node)
-            if dotted in ("np.random", "numpy.random"):
-                yield node, (
-                    f"use of {dotted} in a purity domain (health/telemetry/"
-                    "validation code must not draw randomness)"
-                )
-        elif isinstance(node, ast.Call):
-            name = terminal_name(node)
-            if name == "default_rng":
-                yield node, (
-                    "default_rng() constructs an RNG inside a purity domain"
-                )
-            elif name in RNG_DRAW_METHODS and \
-                    isinstance(node.func, ast.Attribute):
-                yield node, (
-                    f"RNG draw .{name}() in a purity domain; probes and "
-                    "telemetry must stay bit-identity-neutral"
-                )
-
-
-# ---------------------------------------------------------------------------
-# 2. fork-safety
-# ---------------------------------------------------------------------------
-
-_LOCK_FACTORIES = frozenset({
-    "Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore", "Event",
-    "Barrier",
-})
-
-
-def _is_constant_name(name: str) -> bool:
-    return name == name.upper() or (name.startswith("__")
-                                    and name.endswith("__"))
-
-
-@rule(
-    "fork-safety",
-    description="no locks, open files, or mutable state at import time "
-                "in fork-boundary modules",
-    rationale=(
-        "the campaign runner forks a pool of workers that each run many "
-        "chunk attempts; a module-level lock forks in an arbitrary "
-        "held/released state, an open hdf5.File handle aliases one memmap "
-        "from every worker, and "
-        "lowercase module-level mutable state invites cross-fork mutation "
-        "that the parent never sees (UPPER_CASE import-time registries "
-        "like TRIAL_KINDS are write-once and fine)"
-    ),
-    domains=("repro.experiments",),
-)
-def check_fork_safety(module: SourceModule):
-    for call in _import_time_calls(module.tree):
-        name = terminal_name(call)
-        if name in _LOCK_FACTORIES and isinstance(call.func, ast.Attribute):
-            owner = dotted_name(call.func.value) or ""
-            if owner.split(".")[0] in ("threading", "multiprocessing",
-                                       "mp", "ctx"):
-                yield call, (
-                    f"synchronization primitive {owner}.{name}() "
-                    "created at import time crosses the campaign fork "
-                    "boundary in an undefined state; create it inside "
-                    "the function that uses it"
-                )
-        elif call_name(call) in ("hdf5.File", "h5py.File", "open"):
-            yield call, (
-                f"file handle opened at import time "
-                f"({call_name(call)}(...)); an open handle captured "
-                "across the runner's fork shares one file position/"
-                "memmap between every worker"
-            )
-    for statement in module.tree.body:
-        if not isinstance(statement, ast.Assign):
-            continue
-        if len(statement.targets) != 1 or \
-                not isinstance(statement.targets[0], ast.Name):
-            continue
-        target = statement.targets[0].id
-        if _is_constant_name(target):
-            continue
-        if isinstance(statement.value, (ast.Dict, ast.List, ast.Set,
-                                        ast.ListComp, ast.SetComp,
-                                        ast.DictComp)):
-            yield statement, (
-                f"module-level mutable state {target!r} is captured by "
-                "forked campaign workers; name it UPPER_CASE if it is a "
-                "write-once import-time registry, otherwise build it "
-                "inside a function"
-            )
-
-
-# ---------------------------------------------------------------------------
-# 3. view-discipline
+# 1. view-discipline
 # ---------------------------------------------------------------------------
 
 @rule(
@@ -298,7 +107,7 @@ def check_view_discipline(module: SourceModule):
 
 
 # ---------------------------------------------------------------------------
-# 4. float-eq
+# 2. float-eq
 # ---------------------------------------------------------------------------
 
 @rule(
@@ -351,7 +160,7 @@ def _judge_float_compare(left: ast.expr, right: ast.expr):
 
 
 # ---------------------------------------------------------------------------
-# 5. journal-schema
+# 3. journal-schema
 # ---------------------------------------------------------------------------
 
 #: The journal contract (PR 1): every record names its trial, its kind, and
@@ -411,7 +220,7 @@ def check_journal_schema(module: SourceModule):
 
 
 # ---------------------------------------------------------------------------
-# 6. span-discipline
+# 4. span-discipline
 # ---------------------------------------------------------------------------
 
 _IMPORT_TIME_METRIC_CALLS = frozenset({"count", "gauge", "observe",
@@ -463,7 +272,7 @@ def check_span_discipline(module: SourceModule):
                 "unfinished span; use `with telemetry.span(...)` or "
                 "telemetry.start_span() for detached spans"
             )
-    for call in _import_time_calls(module.tree, include_classes=False):
+    for call in import_time_calls(module.tree, include_classes=False):
         if isinstance(call.func, ast.Attribute) and \
                 call.func.attr in _IMPORT_TIME_METRIC_CALLS:
             owner = dotted_name(call.func.value) or ""
@@ -476,7 +285,7 @@ def check_span_discipline(module: SourceModule):
 
 
 # ---------------------------------------------------------------------------
-# 7. trace-propagation
+# 5. trace-propagation
 # ---------------------------------------------------------------------------
 
 def _telemetry_aliases(tree: ast.Module, name: str) -> frozenset[str]:
@@ -542,7 +351,7 @@ def check_trace_propagation(module: SourceModule):
 
 
 # ---------------------------------------------------------------------------
-# 8. durable-io
+# 6. durable-io
 # ---------------------------------------------------------------------------
 
 #: ``os`` calls that commit or lock by name; only repro.durable makes them.

@@ -1,68 +1,68 @@
-"""Whole-program rule: transitive RNG purity.
+"""``rng-purity``: observational code draws no randomness, itself or
+through anything it calls.
 
-The per-file ``rng-purity`` rule flags a probe or telemetry function that
-draws randomness *itself*.  The guarantee the paper's methodology needs
-is stronger: a probe must be observationally pure through every helper it
-calls, because one hidden draw anywhere downstream shifts every
-subsequent sample of a seeded campaign and silently breaks the
-probed == unprobed bit-identity oracle.
+A seeded campaign's bit-identity oracle compares probed and unprobed
+runs; one RNG draw in a probe, or in any helper it calls, advances the
+stream and shifts every later sample.  In the purity domains (health
+probes, telemetry, HDF5 validators, the linter itself) the rule reports:
 
-This rule propagates RNG taint backwards over resolved call edges to a
-fixpoint, then flags any function *anchored in a purity domain* (health
-probes, telemetry, HDF5 validators, the linter itself) whose taint is
-transitive — the direct-draw case stays with the per-file rule, so one
-defect is never reported twice.  The ``--explain`` trace is the witness
-chain down to the actual draw.
+* every RNG use outside a function — an import of ``random``,
+  ``numpy.random`` or ``secrets``, a use of ``np.random``, a draw at
+  module level or in a class body;
+* every RNG use inside a function;
+* in a function that uses none itself, the call through which it reaches
+  a draw at any depth over resolved call edges
+  (:meth:`~repro.lint.graph.ProjectGraph.rng_taint`).
+
+Each finding's ``--explain`` trace names the draw, through the chain of
+calls when there is one.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from .core import rule
 
-from .core import CrossFinding, CrossModuleRule, cross_rule
+_ADVICE = ("observational code must stay bit-identity-neutral — pass "
+           "values in, or move the draw to the campaign side")
 
 
-@cross_rule
-class RngPurityFlowRule(CrossModuleRule):
-    name = "rng-purity-flow"
-    description = (
-        "probe/telemetry/validator functions must be transitively "
-        "RNG-free: nothing they call (at any depth) may draw randomness"
-    )
-    rationale = (
-        "a seeded campaign's bit-identity oracle compares probed and "
-        "unprobed runs; one RNG draw inside any helper a probe calls "
-        "advances the stream and shifts every later sample. Taint is "
-        "propagated over resolved call edges; direct draws are the "
-        "per-file rng-purity rule's territory."
-    )
-    domains = (
-        "repro.health",
-        "repro.telemetry",
-        "repro.hdf5.validate",
-        "repro.lint",
-    )
-
-    def check(self, graph) -> Iterable[CrossFinding]:
-        taint = graph.rng_taint()
-        for qualname in sorted(taint):
-            witness = taint[qualname]
-            if witness is None:
-                continue  # direct draw: per-file rng-purity reports it
-            facts = graph.functions[qualname]
-            if not self.applies_to(facts["module"]):
-                continue
-            callee, line = witness
-            callee_facts = graph.functions[callee]
-            yield CrossFinding(
-                path=facts["path"], line=line,
-                message=(
-                    f"{facts['name']} transitively draws RNG: it calls "
-                    f"{callee_facts['name']} ({callee_facts['path']}:"
-                    f"{callee_facts['line']}), which reaches an RNG draw; "
-                    "observational code must be pure through every helper "
-                    "— pass values in, or move the draw to the campaign "
-                    "side"
-                ),
-                trace=tuple(graph.rng_chain(qualname)),
-            )
+@rule(
+    "rng-purity",
+    description="no RNG draws in bit-identity-critical code, directly or "
+                "through any function it calls",
+    rationale=(
+        "health probes, telemetry, the structural validator and the "
+        "linter must be observational: one RNG draw, here or in "
+        "any helper they reach over resolved call edges, would shift every "
+        "subsequent sample of a seeded campaign and silently break the "
+        "probed == unprobed bit-identity guarantee"
+    ),
+    domains=("repro.health", "repro.telemetry", "repro.hdf5.validate",
+             "repro.lint"),
+    whole_program=True,
+)
+def check_rng_purity(graph):
+    for facts in graph.modules.values():
+        for use in facts["module_rng"]:
+            yield facts["path"], use["line"], (
+                f"{use['what']} in a purity domain; {_ADVICE}"
+            ), (f"{facts['module']} ({facts['path']}:{use['line']}) "
+                f"{use['what']} outside any function",)
+    taint = graph.rng_taint()
+    for qualname in sorted(taint):
+        facts = graph.functions[qualname]
+        witness = taint[qualname]
+        if witness is None:
+            for use in facts["effects"]["rng"]:
+                yield facts["path"], use["line"], (
+                    f"{facts['name']} draws RNG: {use['what']}; {_ADVICE}"
+                ), (f"{qualname} ({facts['path']}:{use['line']}) "
+                    f"{use['what']}",)
+            continue
+        callee, line = witness
+        callee_facts = graph.functions[callee]
+        yield facts["path"], line, (
+            f"{facts['name']} transitively draws RNG: it calls "
+            f"{callee_facts['name']} ({callee_facts['path']}:"
+            f"{callee_facts['line']}), which reaches an RNG draw; {_ADVICE}"
+        ), tuple(graph.rng_chain(qualname))

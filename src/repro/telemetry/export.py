@@ -48,6 +48,10 @@ _HELP = {
 }
 
 
+#: The runner's per-outcome trial counters: ``runner.outcome_<label>``.
+_OUTCOME_PREFIX = "runner.outcome_"
+
+
 def _prom_name(name: str) -> str:
     return "repro_" + _NAME_RE.sub("_", name)
 
@@ -88,7 +92,10 @@ def prometheus_exposition(events: list[dict]) -> str:
     cumulative ``_bucket{le=...}`` series plus ``_sum`` and ``_count``.
     Span timings are additionally rolled up as
     ``repro_span_seconds_total{...}``-style per-name totals so phase time is
-    scrapeable without histogram instrumentation on every span.
+    scrapeable without histogram instrumentation on every span, and trial
+    outcomes as ``repro_trials_total{outcome=...}`` from the runner's
+    ``runner.outcome_<label>`` counters, which count every journaled trial
+    however it ran (a pooled ``trial`` span and a batched chunk alike).
     """
     lines: list[str] = []
 
@@ -96,7 +103,8 @@ def prometheus_exposition(events: list[dict]) -> str:
         lines.append(f"# HELP {prom} {help_text}")
         lines.append(f"# TYPE {prom} {kind}")
 
-    for name, metric in sorted(merge_metrics(events).items()):
+    metrics = merge_metrics(events)
+    for name, metric in sorted(metrics.items()):
         prom = _prom_name(name)
         kind = metric["kind"]
         help_text = _HELP.get(name, f"Merged {kind} {name!r} from the "
@@ -118,16 +126,15 @@ def prometheus_exposition(events: list[dict]) -> str:
             lines.append(f"{prom} {_prom_value(metric['value'])}")
 
     totals: dict[str, tuple[int, float]] = {}
-    outcomes: dict[str, int] = {}
     for event in events:
         if event.get("type") == "span":
             count, seconds = totals.get(event["name"], (0, 0.0))
             totals[event["name"]] = (count + 1,
                                      seconds + float(event.get("dur", 0.0)))
-            if event.get("name") == "trial":
-                outcome = (event.get("attrs") or {}).get("outcome")
-                if outcome:
-                    outcomes[str(outcome)] = outcomes.get(str(outcome), 0) + 1
+    outcomes = {name[len(_OUTCOME_PREFIX):]: metric["value"]
+                for name, metric in metrics.items()
+                if name.startswith(_OUTCOME_PREFIX)
+                and metric["kind"] == "counter"}
     if totals:
         family("repro_span_seconds_total", "counter",
                "Total wall time per span name.")

@@ -11,7 +11,8 @@ child (with a timeout) and checks what it left:
   file;
 * a lease the child left is claimed once its pid is dead, by exactly one
   of two concurrent claimers;
-* ``Journal.load`` returns a prefix of the appended records.
+* ``Journal.load`` returns a prefix of the appended records, also after
+  a torn append was repaired and appended past.
 
 Every durable file operation in ``repro`` goes through
 :mod:`repro.durable`, so these cases cover them all.  A commit-order
@@ -27,14 +28,15 @@ import traceback
 
 import pytest
 
-from repro.durable import Lease, atomic_write, lease_info, write_json
+from repro.durable import (Lease, atomic_write, lease_info, repair_tail,
+                           write_json)
 from repro.experiments.common import (SCALES, Baseline, BaselineCache,
                                       SessionSpec)
 from repro.experiments.runner import Journal, TrialRecord
 
 #: The ``os`` calls that count as steps: every call that changes a file.
 STEP_CALLS = ("open", "write", "fsync", "close", "replace", "rename",
-              "link", "unlink", "utime", "mkdir")
+              "link", "unlink", "utime", "mkdir", "ftruncate")
 
 #: Exit status of a child that died at its crash point.
 CRASHED = 75
@@ -325,9 +327,38 @@ class JournalAppend(Case):
             ids + [RECORDS[4].trial_id]
 
 
+class JournalRepair(Case):
+    """A resumed campaign over a journal whose last append was torn: it
+    cuts the torn line, then appends."""
+
+    name = "journal-repair"
+
+    def setup(self, root):
+        journal = Journal(self.path(root))
+        for record in RECORDS[:2]:
+            journal.append(record)
+        line = (RECORDS[2].to_json_line() + "\n").encode("utf-8")
+        with open(self.path(root), "ab") as handle:
+            handle.write(line[:len(line) // 2])
+
+    def op(self, root):
+        repair_tail(self.path(root))
+        Journal(self.path(root)).append(RECORDS[2])
+
+    def check(self, root):
+        journal = Journal(self.path(root))
+        ids = [record.trial_id for record in journal.load()]
+        expected = [record.trial_id for record in RECORDS]
+        assert ids in (expected[:2], expected[:3]), ids
+        journal.repair()
+        journal.append(RECORDS[3])
+        assert [record.trial_id for record in journal.load()] == \
+            ids + [RECORDS[3].trial_id]
+
+
 CASES = [AtomicWriteNew(), AtomicWriteReplace(), BaselineCommit(),
          BaselineRecommit(), LeaseCreate(), LeaseReclaim(), LeaseRelease(),
-         LeaseAcquire(), JournalAppend()]
+         LeaseAcquire(), JournalAppend(), JournalRepair()]
 
 #: Step names each operation must at least make, so a refactor that
 #: moves a step out of the patched ``os`` calls fails loudly here.
@@ -341,6 +372,7 @@ REQUIRED = {
     "lease-create-release": {"link", "unlink"},
     "lease-blocking-acquire": {"write", "replace"},
     "journal-append": {"write", "fsync"},
+    "journal-repair": {"ftruncate", "fsync", "write"},
 }
 
 

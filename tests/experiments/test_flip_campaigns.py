@@ -187,9 +187,10 @@ def test_in_process_trials_match_fresh_processes(cache):
 
 
 def test_every_flip_kind_keeps_decorated_fork_entries():
-    """``fork-reach`` finds trial bodies only through the ``@trial_kind`` /
-    ``@batch_trial_kind`` decorators, so each flip kind must keep both —
-    and the shared body must stay reachable from them."""
+    """``fork-safety`` finds the trial bodies a worker runs only through
+    the ``@trial_kind`` / ``@batch_trial_kind`` decorators, so each flip
+    kind must keep both — and the shared body must stay reachable from
+    them."""
     graph = analyze_paths([str(SRC)]).graph
     entries = graph.fork_entries()
     for module in ("fig3_bitflip_rates", "table5_single_bitflip",

@@ -232,9 +232,10 @@ class TestBitSensitivity:
 class TestChurnStudy:
     def test_churn_monotone_and_exceeds_accuracy_drop(self, cache):
         result = run_experiment("churn_study", scale="smoke", cache=cache,
-                                bitflips=(10, 1000))
+                                bitflips=(1, 10, 1000))
         rows = {row[0]: row for row in result.rows}
         assert rows[0][3] == 0.0  # clean model churns nothing
+        assert rows[1000][3] >= rows[1][3]  # more flips, no less churn
         heavy = rows[1000]
         if isinstance(heavy[3], (int, float)):
             clean_acc = rows[0][1]

@@ -29,7 +29,7 @@ def test_build_report_embeds_archived_results(tmp_path):
     assert "table4 rendered table" in report
     assert "scale `smoke`" in report
     # absent experiments point at the regenerating command
-    assert "bench_fig7" in report
+    assert "repro-experiments run fig7 --scale tiny" in report
 
 
 def test_paper_values_present(tmp_path):

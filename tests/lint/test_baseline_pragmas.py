@@ -1,4 +1,4 @@
-"""Baseline v2 keying/migration and pragma edge cases."""
+"""Baseline v2 keying and pragma edge cases."""
 # The string-literal sources below contain deliberately bogus pragmas;
 # the line-based pragma scanner sees them when this file itself is
 # linted, so silence the pseudo-rule here.
@@ -60,48 +60,11 @@ class TestBaselineV2:
         assert len(baselined) == 2
         assert len(new) == 1
 
-    def test_v1_file_loads_and_matches_by_message(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({
-            "version": 1,
-            "findings": [{"rule": "float-eq", "path": "src/repro/a.py",
-                          "message": "exact float eq", "count": 1}],
-        }))
-        baseline = Baseline.load(str(path))
-        new, baselined = baseline.split([_finding()])
-        assert new == []
-        assert len(baselined) == 1
-
-    def test_v1_migrates_to_v2_on_save(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({
-            "version": 1,
-            "findings": [{"rule": "float-eq", "path": "src/repro/a.py",
-                          "message": "exact float eq", "count": 1}],
-        }))
-        Baseline.load(str(path))  # loads fine
-        # the migration path: re-save from fresh findings
-        Baseline.from_findings([_finding()]).save(str(path))
-        payload = json.loads(path.read_text())
-        assert payload["version"] == 2
-        assert payload["findings"][0]["line_hash"] == hash_line("x == 1.0")
-
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "baseline.json"
         path.write_text(json.dumps({"version": 7, "findings": []}))
         with pytest.raises(ValueError):
             Baseline.load(str(path))
-
-    def test_stale_reporting_covers_legacy_entries(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({
-            "version": 1,
-            "findings": [{"rule": "float-eq", "path": "src/repro/a.py",
-                          "message": "debt paid", "count": 1}],
-        }))
-        baseline = Baseline.load(str(path))
-        assert baseline.stale_entries([]) == \
-               ["float-eq::src/repro/a.py::debt paid"]
 
 
 class TestPragmaEdgeCases:

@@ -9,8 +9,8 @@ import pytest
 from repro.lint import (
     PARSE_ERROR,
     Baseline,
+    analyze_paths,
     get_rules,
-    lint_paths,
     lint_source,
     module_name,
 )
@@ -143,7 +143,7 @@ class TestLintPaths:
     def test_syntax_error_becomes_parse_error_finding(self, tmp_path):
         bad = tmp_path / "broken.py"
         bad.write_text("def oops(:\n")
-        findings = lint_paths([str(bad)])
+        findings = analyze_paths([str(bad)]).findings
         assert [f.rule for f in findings] == [PARSE_ERROR]
         assert "parse" in findings[0].message
 
@@ -151,7 +151,9 @@ class TestLintPaths:
         (tmp_path / "__pycache__").mkdir()
         (tmp_path / "__pycache__" / "junk.py").write_text("import random\n")
         (tmp_path / "mod.py").write_text("x = 1\n")
-        assert lint_paths([str(tmp_path)]) == []
+        result = analyze_paths([str(tmp_path)])
+        assert result.findings == []
+        assert result.stats["files"] == 1
 
 
 class TestCli:

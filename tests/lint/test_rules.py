@@ -51,6 +51,21 @@ class TestRngPurity:
                          module="repro.experiments.table5")
         assert "rng-purity" not in rules_hit(found)
 
+    def test_module_level_and_class_body_draws_flagged(self):
+        found = findings(
+            """
+            import numpy as np
+
+            NOISE = np.random.default_rng(0)
+
+            class Probe:
+                jitter = NOISE.normal()
+            """,
+            module="repro.telemetry.probe",
+        )
+        assert [(f.rule, f.line) for f in found] == \
+            [("rng-purity", 4), ("rng-purity", 7)]
+
     def test_pure_math_in_domain_clean(self):
         found = findings(
             """

@@ -1,9 +1,9 @@
 """Whole-program analysis: fixture corpora, cache, jobs, explain.
 
 The fixture corpus under ``tests/lint/fixtures/`` specifies the rules
-whose verdict depends on where a module sits: each cross-module rule and
-the per-file ``durable-io`` rule has at least one positive fixture (the
-protocol violated) and one negative (the protocol followed).  Fixtures
+whose verdict depends on where a module sits: each whole-program rule
+and the per-file ``durable-io`` rule has at least one positive fixture
+(the protocol violated) and one negative (the protocol followed).  Fixtures
 are copied into a ``src/repro/...`` layout in tmp_path so their dotted
 module names anchor inside the rules' domains — in place, under
 ``tests/``, they anchor as test modules and the rules ignore them by
@@ -110,10 +110,13 @@ class TestAtlasJournalReads:
 
 
 class TestForkReachability:
+    """The reachability half of ``fork-safety``: what a forked worker
+    reaches over resolved call edges."""
+
     def test_module_lock_flagged_with_chain(self, tmp_path):
         found = _findings(
             tmp_path, {"fork/bad_worker.py": "src/repro/worker.py"},
-            "fork-reach")
+            "fork-safety")
         assert len(found) == 1
         assert "module-level lock '_REGISTRY_LOCK'" in found[0].message
         # the trace walks entry -> helper -> acquisition
@@ -125,7 +128,7 @@ class TestForkReachability:
         found = _findings(
             tmp_path,
             {"fork/bad_worker_logging.py": "src/repro/worker.py"},
-            "fork-reach")
+            "fork-safety")
         assert len(found) == 1
         assert "setup_logging" in found[0].message
 
@@ -133,23 +136,26 @@ class TestForkReachability:
         found = _findings(
             tmp_path,
             {"fork/bad_worker_handle.py": "src/repro/worker.py"},
-            "fork-reach")
+            "fork-safety")
         assert len(found) == 1
         assert "_JOURNAL" in found[0].message
 
     def test_worker_local_state_clean(self, tmp_path):
         assert _findings(
             tmp_path, {"fork/good_worker.py": "src/repro/worker.py"},
-            "fork-reach") == []
+            "fork-safety") == []
 
 
 class TestRngPurityFlow:
+    """The transitive half of ``rng-purity``: a probe that reaches a draw
+    through its helpers."""
+
     def test_transitive_draw_flagged_with_witness_chain(self, tmp_path):
         found = _findings(
             tmp_path,
             {"rng/probe_bad.py": "src/repro/health/probe_fx.py",
              "rng/noise.py": "src/repro/noise.py"},
-            "rng-purity-flow")
+            "rng-purity")
         assert len(found) == 1
         assert "transitively draws RNG" in found[0].message
         # chain ends at the actual draw
@@ -163,7 +169,7 @@ class TestRngPurityFlow:
             tmp_path,
             {"rng/probe_bad.py": "src/repro/health/probe_fx.py",
              "rng/noise.py": "src/repro/noise.py"},
-            "rng-purity-flow")
+            "rng-purity")
         assert all(f.path.endswith("health/probe_fx.py") for f in found)
 
     def test_pure_helpers_clean(self, tmp_path):
@@ -171,7 +177,7 @@ class TestRngPurityFlow:
             tmp_path,
             {"rng/probe_good.py": "src/repro/health/probe_fx.py",
              "rng/mathutil.py": "src/repro/mathutil.py"},
-            "rng-purity-flow") == []
+            "rng-purity") == []
 
 
 class TestGraph:
@@ -234,16 +240,16 @@ class TestGraphCache:
             tmp_path, {"fork/bad_worker.py": "src/repro/worker.py"})
         cache = str(tmp_path / "cache.json")
         cold = analyze_paths([root], cache_path=cache)
-        assert any(f.rule == "fork-reach" for f in cold.findings)
+        assert any(f.rule == "fork-safety" for f in cold.findings)
 
         # fix the file: the warm run re-parses exactly it and the
-        # cross-module finding disappears
+        # whole-program finding disappears
         target = tmp_path / "src" / "repro" / "worker.py"
         target.write_text(
             (FIXTURES / "fork" / "good_worker.py").read_text())
         warm = analyze_paths([root], cache_path=cache)
         assert warm.stats["parsed"] == 1
-        assert not any(f.rule == "fork-reach" for f in warm.findings)
+        assert not any(f.rule == "fork-safety" for f in warm.findings)
 
 
 class TestJobsDeterminism:
@@ -277,12 +283,34 @@ class TestExplain:
         root = _materialize(
             tmp_path, {"fork/bad_worker.py": "src/repro/worker.py"})
         code = lint_main([root, "--no-baseline",
-                          "--explain", "fork-reach"])
+                          "--explain", "fork-safety"])
         assert code == 1
         out = capsys.readouterr().out
-        assert "[fork-reach]" in out
+        assert "[fork-safety]" in out
         assert "entry point" in out
         assert "acquires _REGISTRY_LOCK" in out
+
+    def test_every_rng_and_fork_finding_has_a_trace(self, tmp_path,
+                                                    capsys):
+        root = _materialize(tmp_path, {
+            "rng/probe_bad.py": "src/repro/health/probe_fx.py",
+            "rng/noise.py": "src/repro/noise.py",
+            "fork/bad_worker.py": "src/repro/experiments/worker.py",
+            "fork/bad_worker_handle.py": "src/repro/worker_handle.py",
+        })
+        (tmp_path / "src" / "repro" / "health" / "direct.py").write_text(
+            "import random\n\n\ndef pick(xs):\n"
+            "    return random.choice(xs)\n")
+        findings = analyze_paths([root]).findings
+        for rule in ("rng-purity", "fork-safety"):
+            found = [f for f in findings if f.rule == rule]
+            # direct, transitive, import-time and reached findings alike
+            assert len(found) >= 3, [f.render() for f in found]
+            assert all(f.trace for f in found), [f.render() for f in found]
+            assert lint_main([root, "--no-baseline", "--explain", rule]) == 1
+            out = capsys.readouterr().out
+            assert f"{len(found)} finding(s) of {rule}" in out
+            assert "per-file rule" not in out
 
     def test_explain_unknown_rule_is_usage_error(self, tmp_path, capsys):
         root = _materialize(
@@ -297,7 +325,7 @@ class TestRuntimeSweepRegression:
         repo = pathlib.Path(__file__).resolve().parents[2]
         result = analyze_paths([str(repo / "src" / "repro")])
         cross = [f for f in result.findings
-                 if f.rule in ("fork-reach", "rng-purity-flow")]
+                 if f.rule in ("fork-safety", "rng-purity")]
         assert cross == [], [f.render() for f in cross]
         # the rule walks from the pool's worker loop and the serve worker
         entries = result.graph.fork_entries()

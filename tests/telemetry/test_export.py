@@ -141,11 +141,21 @@ def test_prometheus_exposition_is_format_valid():
     assert text.endswith("\n")
 
 
+def _outcome(label, value):
+    return {"type": "metric", "kind": "counter",
+            "name": f"runner.outcome_{label}", "value": value, "pid": 1,
+            "ts": 0.0}
+
+
 def test_prometheus_trial_outcomes_rolled_up():
+    # the runner's outcome counters count every trial; a pooled trial's
+    # span also names its outcome, and must not count it twice
     events = _events() + [
         _span("trial", 1.0, outcome="masked"),
         _span("trial", 1.0, outcome="masked"),
         _span("trial", 1.0, outcome="collapsed"),
+        _outcome("masked", 1), _outcome("masked", 2),  # cumulative
+        _outcome("collapsed", 1),
     ]
     text = prometheus_exposition(events)
     assert '# TYPE repro_trials_total counter' in text
@@ -188,7 +198,7 @@ def test_prom_sample_without_labels():
 
 
 def test_exposition_escapes_hostile_outcome_labels():
-    events = [_span("trial", 1.0, outcome='bad"label\n')]
+    events = [_outcome('bad"label\n', 1)]
     text = prometheus_exposition(events)
     assert 'repro_trials_total{outcome="bad\\"label\\n"} 1' in text
     assert "\n\n" not in text  # no raw newline leaked into a label

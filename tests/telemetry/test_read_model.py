@@ -204,6 +204,22 @@ def test_frozen_pool_pair_reproduces_its_outputs(tmp_path):
                           key=lambda row: row["trial_id"])
 
 
+def test_frozen_pairs_count_the_same_trial_outcomes():
+    # a batched chunk's span carries no outcome, so the count comes from
+    # the runner's outcome counters, which both streams hold
+    def trial_lines(name):
+        with open(frozen(name)[1], encoding="utf-8") as handle:
+            events = [json.loads(line) for line in handle]
+        return [line for line
+                in telemetry.prometheus_exposition(events).splitlines()
+                if line.startswith("repro_trials_total")]
+
+    assert trial_lines("batched") == trial_lines("pool") == [
+        'repro_trials_total{outcome="degraded"} 1',
+        'repro_trials_total{outcome="masked"} 3',
+    ]
+
+
 def test_frozen_batched_pair_gives_the_pool_rows(tmp_path):
     pool = telemetry.CampaignTelemetry.from_file(frozen("pool")[1])
     batched = telemetry.CampaignTelemetry.from_file(frozen("batched")[1])

@@ -21,11 +21,13 @@ class TestDeliverablesExist:
         assert len(examples) >= 3
         assert (ROOT / "examples" / "quickstart.py").exists()
 
-    def test_benchmark_per_table_and_figure(self):
+    def test_regenerating_command_per_table_and_figure(self):
+        from repro.experiments import EXPERIMENTS
+        design = (ROOT / "DESIGN.md").read_text()
         for artefact in ("table4", "table5", "table6", "table7", "table8",
                          "fig2", "fig3", "fig4", "fig5", "fig6", "fig7"):
-            assert (ROOT / "benchmarks" / f"bench_{artefact}.py").exists(), \
-                artefact
+            assert artefact in EXPERIMENTS, artefact
+            assert f"`repro-experiments run {artefact}`" in design, artefact
 
 
 class TestReadmeConsistency:
