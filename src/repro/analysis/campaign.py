@@ -215,7 +215,9 @@ class CampaignStats:
         if other:
             payload["outcomes"] = {**payload["outcomes"], **other}
         payload["trials_per_second"] = round(self.trials_per_second, 3)
-        payload["wall_time"] = round(self.wall_time, 3)
+        # to the microsecond: at milliseconds a campaign of a few dozen ms
+        # rebuilt from its archive reported a rate >1% off the stored one
+        payload["wall_time"] = round(self.wall_time, 6)
         return payload
 
     def to_dict(self) -> dict:

@@ -400,6 +400,12 @@ class _Chunk:
     def kind(self) -> str:
         return self.tasks[0].kind
 
+    def deadline(self, trial_timeout: float | None) -> float:
+        """When the current attempt times out: ``trial_timeout`` per trial."""
+        if trial_timeout is None:
+            return float("inf")
+        return self.started + trial_timeout * len(self.tasks)
+
     def attempt_args(self) -> tuple:
         """:func:`_attempt`'s arguments, the span already open."""
         return (self.kind, [_dispatch_payload(t) for t in self.tasks],
@@ -747,7 +753,12 @@ def _run_forked(policy: _Policy, workers: int,
             busy = [w for w in pool if w and w.chunk is not None]
             if not busy:
                 break
-            ready = connection.wait([w.conn for w in busy], timeout=0.05)
+            # wake by the earliest deadline too: a timeout shorter than the
+            # poll interval must kill its attempt, not wait for its reply
+            first = min(w.chunk.deadline(trial_timeout) for w in busy)
+            ready = connection.wait(
+                [w.conn for w in busy],
+                timeout=min(0.05, max(0.0, first - time.monotonic())))
             now = time.monotonic()
             for slot, worker in enumerate(pool):
                 if not worker or worker.chunk is None:
@@ -770,8 +781,7 @@ def _run_forked(policy: _Policy, workers: int,
                     error = (f"worker exited with code "
                              f"{worker.process.exitcode} before reporting "
                              "a result")
-                elif trial_timeout is not None and now > chunk.started + \
-                        trial_timeout * len(chunk.tasks):
+                elif now > chunk.deadline(trial_timeout):
                     worker.process.terminate()
                     telemetry.count("runner.timeouts")
                     timed_out = True
